@@ -15,12 +15,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from kmln.core import TOL_FLOOR, disassemble, numeric_rank
-from kmln.families import FAMILY_TAGS, Membership, membership
+from kmln.families import _TAG_ORDER, FAMILY_TAGS, Membership, membership
 from kmln.variants import matching_variants
 
 __all__ = ["ClassReport", "classify"]
-
-_TAG_ORDER = {tag: i for i, tag in enumerate(FAMILY_TAGS)}
 
 
 @dataclass(frozen=True)

@@ -7,11 +7,21 @@ A 4x4 complex matrix G splits into four 2x2 blocks
 
 and each block expands over the Pauli basis as c0*I + c1*sigma1 + c2*sigma2
 + c3*sigma3.  Collecting the coordinates of the four blocks gives four
-complex 4-vectors (k, m, l, n) -- a parameter set.  The map is linear and
-bijective, and matrix multiplication turns into an explicit bilinear law on
-parameter sets (`compose`), built from the Pauli product rule
+complex 4-vectors (k, m, l, n) -- a parameter set.  A `ParamSet` stores
+them as one read-only complex (16,) array in k, m, l, n order; its fields
+are views into that array.  The map is linear and bijective, and matrix
+multiplication turns into an explicit bilinear law on parameter sets
+(`compose`), built from the Pauli product rule
 
     (a0 + a.sigma)(b0 + b.sigma) = a0*b0 + a.b + (a0*b + b0*a + i a x b).sigma
+
+applied to the block identities of the 2x2 block product.  The law is
+compiled once, at import, to its 128 nonzero terms (8 per output
+component), so `compose` is a gather, a product and a row sum over
+(..., 16) arrays.  It deliberately calls no BLAS routine: the gather is as
+fast as a BLAS product of this size, while a multi-threaded BLAS whose
+threads have gone idle can stall for about a millisecond per call (seen
+with OpenBLAS on two CPUs and no thread limit set).
 
 G is real when, within every parameter vector, the second vector component
 is purely imaginary and the remaining three components are real.
@@ -35,6 +45,7 @@ __all__ = [
     "SIGMA3",
     "SIGMA",
     "ParamSet",
+    "ComposeOverflowError",
     "block_from_pair",
     "block",
     "pair_from_block",
@@ -71,9 +82,11 @@ def _as_cvec4(value, name: str) -> np.ndarray:
         raise ValueError(f"{name}: expected 4 components, got shape {arr.shape}")
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: non-finite component")
-    arr = arr.copy()
-    arr.flags.writeable = False
     return arr
+
+
+class ComposeOverflowError(ValueError):
+    """`compose` of finite operands gave a component beyond the float range."""
 
 
 @dataclass(frozen=True)
@@ -81,8 +94,9 @@ class ParamSet:
     """The four parameter vectors (k, m, l, n) of a 4x4 complex matrix.
 
     k parameterizes the upper-left block, m the lower-right, n the
-    upper-right and l the lower-left.  Each field is coerced to an
-    immutable shape-(4,) complex array; non-finite input is rejected.
+    upper-right and l the lower-left.  The fields are validated (shape (4,),
+    finite) and copied once into a single read-only complex (16,) array,
+    ordered k, m, l, n; each field is a read-only view into it.
     """
 
     k: np.ndarray
@@ -91,20 +105,38 @@ class ParamSet:
     n: np.ndarray
 
     def __post_init__(self):
-        for name in ("k", "m", "l", "n"):
-            object.__setattr__(self, name, _as_cvec4(getattr(self, name), name))
+        self._bind(np.concatenate(
+            [_as_cvec4(getattr(self, name), name) for name in "kmln"]
+        ))
+
+    @classmethod
+    def _own(cls, arr: np.ndarray) -> ParamSet:
+        """ParamSet taking over a finite complex (16,) array no other code holds.
+
+        Skips the copy and the checks of the keyword constructor; the
+        caller guarantees both.
+        """
+        self = object.__new__(cls)
+        self._bind(arr)
+        return self
+
+    def _bind(self, arr: np.ndarray):
+        arr.setflags(write=False)
+        # the class is frozen, so fill the instance dict directly
+        self.__dict__.update(_array=arr, k=arr[0:4], m=arr[4:8],
+                             l=arr[8:12], n=arr[12:16])
 
     def components(self) -> np.ndarray:
-        """All 16 components as one vector, ordered k, m, l, n."""
-        return np.concatenate([self.k, self.m, self.l, self.n])
+        """All 16 components as one new vector, ordered k, m, l, n."""
+        return self._array.copy()
 
     def __eq__(self, other):
         if not isinstance(other, ParamSet):
             return NotImplemented
-        return bool(np.array_equal(self.components(), other.components()))
+        return bool(np.array_equal(self._array, other._array))
 
     def __hash__(self):
-        return hash(self.components().tobytes())
+        return hash(self._array.tobytes())
 
 
 def block_from_pair(c0: complex, v) -> np.ndarray:
@@ -170,36 +202,75 @@ def disassemble(g) -> ParamSet:
     )
 
 
-def _pair_scalar(u: np.ndarray, v: np.ndarray) -> complex:
-    # scalar part of (u0 + u.sigma)(v0 + v.sigma)
-    return u[0] * v[0] + u[1:] @ v[1:]
+def _compile_product_law():
+    """The 128 nonzero terms of the bilinear law behind `compose`.
+
+    Returns (left, right, coeff), sorted by output component with 8 terms
+    per output: output component o of the product is
+    sum(coeff * a[left] * b[right]) over the o-th run of 8 terms.
+    """
+    # pauli[o, i, j]: coefficient of a_i * b_j in component o of the
+    # Pauli product (a0 + a.sigma)(b0 + b.sigma)
+    pauli = np.zeros((4, 4, 4), dtype=complex)
+    pauli[0, 0, 0] = 1
+    for r in (1, 2, 3):
+        pauli[0, r, r] = pauli[r, 0, r] = pauli[r, r, 0] = 1
+        s, t = r % 3 + 1, (r + 1) % 3 + 1
+        pauli[r, s, t], pauli[r, t, s] = 1j, -1j
+    # vector index of the block at (block row, block column) of
+    # [[K, N], [L, M]]; block (r, c) of a product collects left (r, s) times
+    # right (s, c), e.g. K'' = K'K + N'L
+    at = {(0, 0): 0, (1, 1): 1, (1, 0): 2, (0, 1): 3}
+    law = np.zeros((16, 16, 16), dtype=complex)
+    for (r, c), o in at.items():
+        for s in (0, 1):
+            i, j = at[r, s], at[s, c]
+            law[4 * o:4 * o + 4, 4 * i:4 * i + 4, 4 * j:4 * j + 4] += pauli
+    out, left, right = np.nonzero(law)
+    return left, right, law[out, left, right]
 
 
-def _pair_vector(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    # vector part of (u0 + u.sigma)(v0 + v.sigma)
-    return u[0] * v[1:] + v[0] * u[1:] + 1j * np.cross(u[1:], v[1:])
+_LAW_LEFT, _LAW_RIGHT, _LAW_COEFF = _compile_product_law()
 
 
-def compose(left: ParamSet, right: ParamSet) -> ParamSet:
+def _as_components(x, what: str) -> np.ndarray:
+    if isinstance(x, ParamSet):
+        return x._array
+    arr = np.asarray(x, dtype=complex)
+    if arr.ndim == 0 or arr.shape[-1] != 16:
+        raise ValueError(f"compose: {what} must be a ParamSet or an array of "
+                         f"shape (..., 16), got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"compose: {what} has a non-finite component")
+    return arr
+
+
+def compose(left, right):
     """Parameter set of the matrix product assemble(left) @ assemble(right).
 
-    Evaluated entirely in parameter space: each output vector collects two
-    Pauli products, mirroring the block identities K'' = K'K + N'L,
-    M'' = L'N + M'M, N'' = K'N + N'M and L'' = L'K + M'L with the left
-    operand primed.
+    Evaluated entirely in parameter space by the compiled Pauli product law:
+    each output vector collects two Pauli products, mirroring the block
+    identities K'' = K'K + N'L, M'' = L'N + M'M, N'' = K'N + N'M and
+    L'' = L'K + M'L with the left operand primed.
+
+    Two ParamSets give a ParamSet.  Either operand may instead be a complex
+    component array of shape (..., 16), ordered k, m, l, n; the leading axes
+    broadcast and the result is a new array of components, so one call
+    composes a whole stack of pairs.  Raises ComposeOverflowError when the
+    product of finite operands overflows.
     """
-    combos = {
-        "k": ((left.k, right.k), (left.n, right.l)),
-        "m": ((left.m, right.m), (left.l, right.n)),
-        "n": ((left.k, right.n), (left.n, right.m)),
-        "l": ((left.l, right.k), (left.m, right.l)),
-    }
-    parts = {}
-    for name, ((u1, v1), (u2, v2)) in combos.items():
-        c0 = _pair_scalar(u1, v1) + _pair_scalar(u2, v2)
-        vec = _pair_vector(u1, v1) + _pair_vector(u2, v2)
-        parts[name] = np.concatenate([[c0], vec])
-    return ParamSet(**parts)
+    a = _as_components(left, "left operand")
+    b = _as_components(right, "right operand")
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = _LAW_COEFF * a.take(_LAW_LEFT, -1) * b.take(_LAW_RIGHT, -1)
+        out = terms.reshape(terms.shape[:-1] + (16, 8)).sum(-1)
+    if not np.isfinite(out).all():
+        raise ComposeOverflowError(
+            "compose: the product overflows the floating-point range"
+        )
+    if isinstance(left, ParamSet) and isinstance(right, ParamSet):
+        return ParamSet._own(out)
+    return out
 
 
 def det_block(cv) -> complex:
@@ -225,7 +296,7 @@ def numeric_rank(g, tol: float = 1e-9) -> int:
 
 def param_norm(p: ParamSet) -> float:
     """Euclidean norm over all 16 parameter components."""
-    return float(np.linalg.norm(p.components()))
+    return float(np.linalg.norm(p._array))
 
 
 def is_real_conditions(p: ParamSet, tol: float = 1e-9) -> bool:

@@ -99,6 +99,23 @@ _CONSTRAINTS = {
 }
 
 
+_OFFSET = {"k": 0, "m": 4, "l": 8, "n": 12}
+
+
+def _compile(table) -> np.ndarray:
+    # row r holds the coefficients of equation r over the 16 components,
+    # in ParamSet order k, m, l, n
+    rows = np.zeros((len(table), 16), dtype=complex)
+    for row, equation in zip(rows, table):
+        for coeff, comp in equation:
+            row[_OFFSET[comp[0]] + int(comp[1])] += coeff
+    rows.setflags(write=False)
+    return rows
+
+
+_TABLES = {vid: _compile(table) for vid, table in _CONSTRAINTS.items()}
+
+
 def variant_name(vid) -> str:
     """Two-digit name of a variant id, e.g. (1, 3) -> '13'."""
     i, j = vid
@@ -130,21 +147,10 @@ def variant_constraints(vid):
     return _CONSTRAINTS[parse_variant(vid)]
 
 
-def _components(p: ParamSet):
-    comps = {}
-    for name, vec in (("k", p.k), ("m", p.m), ("n", p.n), ("l", p.l)):
-        for idx in range(4):
-            comps[f"{name}{idx}"] = complex(vec[idx])
-    return comps
-
-
 def constraint_residual(vid, p: ParamSet) -> float:
     """Relative residual of the constraint table on a parameter set."""
-    comps = _components(p)
-    total = 0.0
-    for equation in variant_constraints(vid):
-        value = sum(coeff * comps[comp] for coeff, comp in equation)
-        total += abs(value) ** 2
+    values = (_TABLES[parse_variant(vid)] * p.components()).sum(-1)
+    total = float((values.real ** 2 + values.imag ** 2).sum())
     return math.sqrt(total) / max(param_norm(p), TOL_FLOOR)
 
 

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import warnings
 from pathlib import Path
 
 import pytest
@@ -139,6 +140,20 @@ class TestExitCodes:
     def test_missing_file(self, runner):
         res = runner.invoke(cli, ["classify", "no-such-file.json"])
         assert res.exit_code == 2
+
+    def test_compose_overflow_is_one_error_line(self, runner, tmp_path):
+        big = [[1e200, 0.0]] * 4
+        doc = tmp_path / "big.json"
+        doc.write_text(json.dumps({"params": dict.fromkeys("kmln", big)}))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(cli, ["compose", str(doc), str(doc)])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        lines = res.stderr.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith("error: compose")
+        assert "overflow" in lines[0]
 
     def test_lying_meta_rejected(self, runner):
         text = FIXTURE.read_text().replace('"K-3"', '"K-4"')

@@ -1,13 +1,18 @@
 """Block parameterization, parameter-space product, helpers."""
 
+import dataclasses
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmln import core
 from kmln.core import (
     SIGMA,
     TOL_FLOOR,
+    ComposeOverflowError,
     ParamSet,
     assemble,
     block,
@@ -32,6 +37,9 @@ cvec4 = st.lists(complexes, min_size=4, max_size=4).map(
     lambda v: np.array(v, dtype=complex)
 )
 paramsets = st.builds(ParamSet, k=cvec4, m=cvec4, l=cvec4, n=cvec4)
+stacks = st.integers(1, 6).flatmap(
+    lambda n: st.lists(paramsets, min_size=n, max_size=n)
+)
 
 
 def rel(a, b):
@@ -132,6 +140,99 @@ class TestCompose:
         assert rel(ab, assemble(b) @ assemble(a)) > 1e-3
 
 
+def unit_params(i):
+    e = np.zeros(16, dtype=complex)
+    e[i] = 1
+    return ParamSet(k=e[0:4], m=e[4:8], l=e[8:12], n=e[12:16])
+
+
+def components(ps):
+    return np.stack([p.components() for p in ps])
+
+
+class TestProductLaw:
+    def test_compiled_law_has_128_terms_8_per_output(self):
+        assert core._LAW_LEFT.shape == core._LAW_RIGHT.shape == (128,)
+        assert core._LAW_COEFF.shape == (128,)
+        assert np.all(core._LAW_COEFF != 0)
+        # the structure tensor of the dense product, one basis pair at a time
+        tensor = np.zeros((16, 16, 16), dtype=complex)
+        for i in range(16):
+            for j in range(16):
+                g = assemble(unit_params(i)) @ assemble(unit_params(j))
+                tensor[:, i, j] = disassemble(g).components()
+        out, left, right = np.nonzero(tensor)
+        assert np.array_equal(np.bincount(out), np.full(16, 8))
+        assert np.array_equal(left, core._LAW_LEFT)
+        assert np.array_equal(right, core._LAW_RIGHT)
+        assert np.array_equal(tensor[out, left, right], core._LAW_COEFF)
+
+    @given(stacks, st.data())
+    def test_stacked_equals_pairwise_and_dense(self, lefts, data):
+        rights = data.draw(st.lists(paramsets, min_size=len(lefts),
+                                    max_size=len(lefts)))
+        stacked = compose(components(lefts), components(rights))
+        assert stacked.shape == (len(lefts), 16)
+        pairwise = [compose(p, q) for p, q in zip(lefts, rights)]
+        assert np.array_equal(stacked, components(pairwise))
+        for p, q, pq in zip(lefts, rights, pairwise):
+            dense = assemble(p) @ assemble(q)
+            assert rel(assemble(pq), dense) <= 1e-12
+        # a ParamSet broadcasts against a stack
+        mixed = compose(lefts[0], components(rights))
+        assert np.array_equal(
+            mixed, components([compose(lefts[0], q) for q in rights])
+        )
+
+    @given(stacks, st.data())
+    @settings(max_examples=50)
+    def test_stacked_associative_to_1e12(self, ps, data):
+        qs, rs = (data.draw(st.lists(paramsets, min_size=len(ps),
+                                     max_size=len(ps))) for _ in range(2))
+        a, b, c = components(ps), components(qs), components(rs)
+        left = compose(compose(a, b), c)
+        right = compose(a, compose(b, c))
+        # rounding error is bounded by the product of the operand norms
+        scale = np.maximum(np.linalg.norm(a, axis=-1)
+                           * np.linalg.norm(b, axis=-1)
+                           * np.linalg.norm(c, axis=-1), TOL_FLOOR)
+        err = np.linalg.norm(left - right, axis=-1) / scale
+        assert float(err.max()) <= 1e-12
+
+    def test_rejects_bad_arrays(self):
+        p = identity_params()
+        with pytest.raises(ValueError, match="shape"):
+            compose(p, np.zeros((3, 15)))
+        with pytest.raises(ValueError, match="non-finite"):
+            compose(np.full(16, np.nan), p)
+
+
+class TestOverflow:
+    def test_overflow_raises_named_error_without_warnings(self):
+        big = ParamSet(k=[1e200] * 4, m=[1e200] * 4,
+                       l=[1e200] * 4, n=[1e200] * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ComposeOverflowError, match="compose.*overflow"):
+                compose(big, big)
+            with pytest.raises(ComposeOverflowError):
+                compose(np.stack([big.components()] * 3), big)
+        assert issubclass(ComposeOverflowError, ValueError)
+
+    @given(paramsets, paramsets, st.floats(100, 300))
+    @settings(max_examples=50)
+    def test_large_operands_compose_or_raise_cleanly(self, p, q, exponent):
+        s = 10.0 ** exponent
+        p = ParamSet(k=s * p.k, m=s * p.m, l=s * p.l, n=s * p.n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                out = compose(p, q)
+            except ComposeOverflowError:
+                return
+        assert np.all(np.isfinite(out.components()))
+
+
 class TestRank:
     def test_reference_points(self):
         assert numeric_rank(np.zeros((4, 4))) == 0
@@ -212,3 +313,39 @@ class TestParamSet:
 
     def test_floor_constant(self):
         assert 0 < TOL_FLOOR < 1e-9
+
+    def test_fields_are_read_only_views_of_one_array(self):
+        p = random_params(np.random.default_rng(4))
+        for q in (p, compose(p, p)):
+            base = q.k.base
+            assert base.shape == (16,) and not base.flags.writeable
+            for i, vec in enumerate((q.k, q.m, q.l, q.n)):
+                assert vec.base is base
+                assert not vec.flags.writeable
+                assert np.array_equal(vec, base[4 * i:4 * i + 4])
+                with pytest.raises(ValueError):
+                    vec.flags.writeable = True
+
+    def test_components_is_an_independent_copy(self):
+        p = ParamSet(k=[1, 2, 3, 4], m=[0] * 4, l=[0] * 4, n=[0] * 4)
+        c = p.components()
+        c[0] = 99
+        assert p.k[0] == 1
+        assert not np.shares_memory(c, p.k)
+
+    def test_constructor_copies_its_input(self):
+        k = np.array([1, 2, 3, 4], dtype=complex)
+        p = ParamSet(k=k, m=[0] * 4, l=[0] * 4, n=[0] * 4)
+        k[0] = 99
+        assert p.k[0] == 1
+
+    def test_replace_revalidates(self):
+        p = random_params(np.random.default_rng(5))
+        q = dataclasses.replace(p, l=[1, 2, 3, 4])
+        assert np.array_equal(q.l, [1, 2, 3, 4])
+        assert np.array_equal(q.k, p.k) and not np.shares_memory(q.k, p.k)
+        assert q.l.base is q.k.base and not q.l.flags.writeable
+        with pytest.raises(ValueError, match="l: expected 4 components"):
+            dataclasses.replace(p, l=[1, 2, 3])
+        with pytest.raises(ValueError, match="l: non-finite component"):
+            dataclasses.replace(p, l=[1, np.nan, 3, 4])
