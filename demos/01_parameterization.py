@@ -13,7 +13,8 @@ and forth with no loss.
 
 import numpy as np
 
-from kmln import ParamSet, assemble, block, disassemble, is_real_conditions
+from kmln import ParamSet, assemble, disassemble, is_real_conditions
+from kmln.core import SIGMA
 
 rng = np.random.default_rng(0)
 
@@ -29,8 +30,11 @@ g = assemble(p)
 print("assembled matrix:")
 print(np.array_str(g, precision=3, suppress_small=True))
 
-print("\ntop-left block equals block(k):")
-print(np.array_str(block(p.k), precision=3, suppress_small=True))
+top_left = assemble(p)[:2, :2]
+print("\ntop-left block, k0*I + k1*sigma1 + k2*sigma2 + k3*sigma3:")
+print(np.array_str(top_left, precision=3, suppress_small=True))
+expansion = p.k[0] * np.eye(2) + sum(c * s for c, s in zip(p.k[1:], SIGMA))
+print("equals the Pauli expansion of k:", np.allclose(top_left, expansion))
 
 # The coordinates are recovered exactly.
 q = disassemble(g)

@@ -14,7 +14,6 @@ import numpy as np
 from kmln import (
     SuiteConfig,
     construct,
-    document_params,
     format_document,
     parse_document,
     run_suite,
@@ -28,7 +27,7 @@ text = format_document(p, meta={"tag": "K-3", "constants": {"D": 2.0}})
 print("document head:")
 print("\n".join(text.splitlines()[:6]))
 doc = parse_document(text)
-back = document_params(doc)
+back = doc.params
 print("round trip max error:",
       np.abs(p.components() - back.components()).max())
 

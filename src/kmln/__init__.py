@@ -12,18 +12,16 @@ verification suite, plus a CLI (``kmln``) wrapping all of it.
 from kmln.classify import ClassReport, classify
 from kmln.core import (
     TOL_FLOOR,
+    AssembleOverflowError,
     ComposeOverflowError,
     ParamSet,
     assemble,
-    block,
-    block_from_pair,
     compose,
     det_block,
     disassemble,
     identity_params,
     is_real_conditions,
     numeric_rank,
-    pair_from_block,
     param_norm,
     random_params,
     random_real_params,
@@ -32,7 +30,6 @@ from kmln.core import (
 from kmln.documents import (
     Document,
     DocumentError,
-    document_params,
     format_document,
     parse_document,
 )
@@ -76,18 +73,16 @@ __version__ = "0.1.0"
 
 __all__ = [
     "TOL_FLOOR",
+    "AssembleOverflowError",
     "ComposeOverflowError",
     "ParamSet",
     "assemble",
-    "block",
-    "block_from_pair",
     "compose",
     "det_block",
     "disassemble",
     "identity_params",
     "is_real_conditions",
     "numeric_rank",
-    "pair_from_block",
     "param_norm",
     "random_params",
     "random_real_params",
@@ -132,5 +127,4 @@ __all__ = [
     "DocumentError",
     "parse_document",
     "format_document",
-    "document_params",
 ]

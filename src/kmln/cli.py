@@ -21,7 +21,6 @@ from kmln.classify import classify
 from kmln.core import assemble, compose, numeric_rank
 from kmln.documents import (
     DocumentError,
-    document_params,
     format_document,
     parse_document,
 )
@@ -172,8 +171,8 @@ def classify_cmd(input, tol, output):
 @_guarded
 def compose_cmd(left, right, output):
     """Multiply two documents (left times right) in parameter space."""
-    p_left = document_params(parse_document(_read_text(left)))
-    p_right = document_params(parse_document(_read_text(right)))
+    p_left = parse_document(_read_text(left)).params
+    p_right = parse_document(_read_text(right)).params
     product = compose(p_left, p_right)
     _write_text(
         output, format_document(params=product, matrix=assemble(product))

@@ -9,19 +9,24 @@ and each block expands over the Pauli basis as c0*I + c1*sigma1 + c2*sigma2
 + c3*sigma3.  Collecting the coordinates of the four blocks gives four
 complex 4-vectors (k, m, l, n) -- a parameter set.  A `ParamSet` stores
 them as one read-only complex (16,) array in k, m, l, n order; its fields
-are views into that array.  The map is linear and bijective, and matrix
-multiplication turns into an explicit bilinear law on parameter sets
-(`compose`), built from the Pauli product rule
+are views into that array.  The map is linear and bijective: the matrix,
+flattened row by row, is U times the component array for a fixed 16x16
+basis U, and U Uᴴ = 2I exactly, so the inverse is Uᴴ/2 and needs no solve.
+Both are compiled once, at import, from the Pauli matrices to two terms
+per row, so `assemble` and `disassemble` are a gather, a product and a row
+sum.  Matrix multiplication turns into an explicit bilinear law on
+parameter sets (`compose`), built from the Pauli product rule
 
     (a0 + a.sigma)(b0 + b.sigma) = a0*b0 + a.b + (a0*b + b0*a + i a x b).sigma
 
 applied to the block identities of the 2x2 block product.  The law is
-compiled once, at import, to its 128 nonzero terms (8 per output
-component), so `compose` is a gather, a product and a row sum over
-(..., 16) arrays.  It deliberately calls no BLAS routine: the gather is as
-fast as a BLAS product of this size, while a multi-threaded BLAS whose
-threads have gone idle can stall for about a millisecond per call (seen
-with OpenBLAS on two CPUs and no thread limit set).
+compiled the same way to its 128 nonzero terms (8 per output component),
+and `compose` evaluates it over (..., 16) arrays.  None of the three calls
+a BLAS routine: the gather is as fast as a BLAS product of this size,
+while a multi-threaded BLAS whose threads have gone idle can stall for
+about a millisecond per call (seen with OpenBLAS on two CPUs and no thread
+limit set).  A result beyond the floating-point range raises
+AssembleOverflowError or ComposeOverflowError, with no numpy warning.
 
 G is real when, within every parameter vector, the second vector component
 is purely imaginary and the remaining three components are real.
@@ -46,9 +51,7 @@ __all__ = [
     "SIGMA",
     "ParamSet",
     "ComposeOverflowError",
-    "block_from_pair",
-    "block",
-    "pair_from_block",
+    "AssembleOverflowError",
     "assemble",
     "disassemble",
     "compose",
@@ -87,6 +90,10 @@ def _as_cvec4(value, name: str) -> np.ndarray:
 
 class ComposeOverflowError(ValueError):
     """`compose` of finite operands gave a component beyond the float range."""
+
+
+class AssembleOverflowError(ValueError):
+    """`assemble` of finite components gave an entry beyond the float range."""
 
 
 @dataclass(frozen=True)
@@ -139,51 +146,45 @@ class ParamSet:
         return hash(self._array.tobytes())
 
 
-def block_from_pair(c0: complex, v) -> np.ndarray:
-    """2x2 block c0*I + v.sigma for a scalar c0 and a 3-component Pauli vector v.
+# (block row, block column) of k, m, l, n in [[K, N], [L, M]]
+_BLOCK_AT = ((0, 0), (1, 1), (1, 0), (0, 1))
 
-    Entrywise: [[c0 + v3, v1 - i*v2], [v1 + i*v2, c0 - v3]].
+
+def _compile_basis():
+    """Gather form of the fixed 16x16 basis U and of its inverse Uᴴ/2.
+
+    assemble(p).ravel() == U @ p._array.  Column 4*v + i of U puts the i-th
+    Pauli basis matrix (I, sigma1, sigma2, sigma3) in the block of vector v.
+    Every row of U and of Uᴴ/2 has two nonzeros; returns (cols, coeff), each
+    (16, 2), for both: row o of the image is sum(coeff[o] * x[cols[o]]).
     """
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (3,):
-        raise ValueError(f"expected 3 vector components, got shape {v.shape}")
-    c0 = complex(c0)
-    return np.array(
-        [
-            [c0 + v[2], v[0] - 1j * v[1]],
-            [v[0] + 1j * v[1], c0 - v[2]],
-        ]
-    )
+    u = np.zeros((4, 4, 16), dtype=complex)
+    for v, (r, c) in enumerate(_BLOCK_AT):
+        for i, s in enumerate((_I2,) + SIGMA):
+            u[2 * r:2 * r + 2, 2 * c:2 * c + 2, 4 * v + i] = s
+    u = u.reshape(16, 16)
+    out = []
+    for m in (u, u.conj().T / 2):
+        rows, cols = np.nonzero(m)
+        out += [cols.reshape(16, 2), m[rows, cols].reshape(16, 2)]
+    return out
 
 
-def block(cv) -> np.ndarray:
-    """2x2 block of a full CVec4 (scalar part followed by vector part)."""
-    cv = np.asarray(cv, dtype=complex)
-    return block_from_pair(cv[0], cv[1:])
-
-
-def pair_from_block(b) -> np.ndarray:
-    """Invert `block`: Pauli coordinates [c0, c1, c2, c3] of a 2x2 block."""
-    b = np.asarray(b, dtype=complex)
-    if b.shape != (2, 2):
-        raise ValueError(f"expected a 2x2 block, got shape {b.shape}")
-    return np.array(
-        [
-            (b[0, 0] + b[1, 1]) / 2,
-            (b[0, 1] + b[1, 0]) / 2,
-            (b[1, 0] - b[0, 1]) / 2j,
-            (b[0, 0] - b[1, 1]) / 2,
-        ]
-    )
+_U_COLS, _U_COEFF, _UH_COLS, _UH_COEFF = _compile_basis()
 
 
 def assemble(p: ParamSet) -> np.ndarray:
-    """4x4 matrix [[K, N], [L, M]] built from the four parameter vectors."""
-    g = np.empty((4, 4), dtype=complex)
-    g[:2, :2] = block(p.k)
-    g[:2, 2:] = block(p.n)
-    g[2:, :2] = block(p.l)
-    g[2:, 2:] = block(p.m)
+    """4x4 matrix [[K, N], [L, M]] built from the four parameter vectors.
+
+    Raises AssembleOverflowError when an entry of the matrix (a sum of two
+    finite components) overflows the floating-point range.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (_U_COEFF * p._array.take(_U_COLS)).sum(-1).reshape(4, 4)
+    if not np.isfinite(g).all():
+        raise AssembleOverflowError(
+            "assemble: the matrix overflows the floating-point range"
+        )
     return g
 
 
@@ -194,12 +195,9 @@ def disassemble(g) -> ParamSet:
         raise ValueError(f"expected a 4x4 matrix, got shape {g.shape}")
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite matrix entry")
-    return ParamSet(
-        k=pair_from_block(g[:2, :2]),
-        m=pair_from_block(g[2:, 2:]),
-        l=pair_from_block(g[2:, :2]),
-        n=pair_from_block(g[:2, 2:]),
-    )
+    # each component is a half-sum of two finite entries, hence finite, and
+    # the array is new: no copy and no second check needed
+    return ParamSet._own((_UH_COEFF * g.take(_UH_COLS)).sum(-1))
 
 
 def _compile_product_law():
@@ -217,10 +215,10 @@ def _compile_product_law():
         pauli[0, r, r] = pauli[r, 0, r] = pauli[r, r, 0] = 1
         s, t = r % 3 + 1, (r + 1) % 3 + 1
         pauli[r, s, t], pauli[r, t, s] = 1j, -1j
-    # vector index of the block at (block row, block column) of
-    # [[K, N], [L, M]]; block (r, c) of a product collects left (r, s) times
-    # right (s, c), e.g. K'' = K'K + N'L
-    at = {(0, 0): 0, (1, 1): 1, (1, 0): 2, (0, 1): 3}
+    # vector index of the block at (block row, block column); block (r, c)
+    # of a product collects left (r, s) times right (s, c), e.g.
+    # K'' = K'K + N'L
+    at = {rc: v for v, rc in enumerate(_BLOCK_AT)}
     law = np.zeros((16, 16, 16), dtype=complex)
     for (r, c), o in at.items():
         for s in (0, 1):

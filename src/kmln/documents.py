@@ -29,8 +29,7 @@ from kmln.core import ParamSet, assemble, disassemble
 from kmln.families import FAMILIES, membership
 from kmln.variants import variant_membership
 
-__all__ = ["Document", "DocumentError", "parse_document", "format_document",
-           "document_params"]
+__all__ = ["Document", "DocumentError", "parse_document", "format_document"]
 
 _CROSS_TOL = 1e-9
 _CONST_TOL = 1e-6
@@ -158,8 +157,12 @@ def parse_document(text: str) -> Document:
     matrix = _parse_matrix(obj["matrix"]) if "matrix" in obj else None
     if params is not None and matrix is not None:
         assembled = assemble(params)
-        scale = max(float(np.linalg.norm(matrix)), 1.0)
-        err = float(np.linalg.norm(assembled - matrix)) / scale
+        # divide by the largest real or imaginary part first, so that the
+        # norms of matrices near the float limit cannot overflow
+        s = max(float(np.abs(matrix.view(float)).max()),
+                float(np.abs(assembled.view(float)).max()), 1.0)
+        err = (float(np.linalg.norm(assembled / s - matrix / s))
+               / max(float(np.linalg.norm(matrix / s)), 1 / s))
         if err > _CROSS_TOL:
             raise DocumentError(
                 f"matrix: disagrees with params (relative error {err:.3e})"
@@ -205,8 +208,3 @@ def format_document(params: ParamSet = None, matrix=None, meta=None) -> str:
                 out[key] = value
         doc["meta"] = out
     return json.dumps(doc, indent=2) + "\n"
-
-
-def document_params(doc: Document) -> ParamSet:
-    """The parameter set a document describes."""
-    return doc.params

@@ -29,6 +29,7 @@ All descriptor data is immutable; every function is pure.
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field
@@ -74,6 +75,16 @@ __all__ = [
 
 _VECS = ("k", "m", "n", "l")
 
+# Where each vector, and each slot, lies in a parameter set's (16,)
+# component array, ordered k, m, l, n: slot ``x0`` is the scalar part of
+# vector x, slot ``x`` its vector part.
+_VEC_AT = {v: slice(4 * i, 4 * i + 4) for i, v in enumerate("kmln")}
+_SLOTS = {
+    slot: slice(4 * i + lo, 4 * i + hi)
+    for i, v in enumerate("kmln")
+    for slot, lo, hi in ((v + "0", 0, 1), (v, 1, 4))
+}
+
 # Relative threshold under which a least-squares source is considered
 # degenerate and the constant it would determine is reported indeterminate.
 _INDET_REL = 1e-12
@@ -109,13 +120,12 @@ class Route:
     """One way to read a constant off a parameter set.
 
     Stacks ``target`` slots against source-term combinations and solves the
-    single-unknown least-squares problem target ~ (x * prefactor) * source.
-    The constant is x, or 1/x when ``invert`` is set.
+    single-unknown least-squares problem target ~ x * source.  The constant
+    is x, or 1/x when ``invert`` is set.
     """
 
     pairs: tuple
     invert: bool = False
-    prefactor: str = "1"
 
 
 @dataclass(frozen=True)
@@ -126,7 +136,7 @@ class RatioEstimator:
 
 @dataclass(frozen=True)
 class SplitEstimator:
-    """Estimator for rules target = base + c*direct + (sign/c)*inverse.
+    """Estimator for rules target = base + c*direct - (1/c)*inverse.
 
     Solves the two-column least-squares system for (c, 1/c) jointly and
     falls back to whichever column is non-degenerate.
@@ -137,7 +147,6 @@ class SplitEstimator:
     base: str
     direct: str
     inverse: str
-    inverse_sign: complex = -1.0
 
 
 @dataclass(frozen=True)
@@ -147,13 +156,23 @@ class Family:
     tag: str
     bases: tuple
     constants: tuple = ()
-    inverted: frozenset = frozenset()
     rules: Mapping[str, tuple] = field(default_factory=dict)
     estimators: tuple = ()
     claimed_rank: int = 2
     generic_rank: int = 2
     rank1_collapses: bool = False
     note: str = ""
+
+    @functools.cached_property
+    def inverted(self) -> frozenset:
+        """Constants some rule divides by; they must stay away from zero."""
+        return frozenset(
+            name
+            for terms in self.rules.values()
+            for coeff, _ in terms
+            for divides, name, literal in _parse_coeff(coeff)[1]
+            if divides and literal is None
+        )
 
 
 @dataclass(frozen=True)
@@ -192,6 +211,34 @@ class ClosureReport:
 _TOKEN = re.compile(r"([*/]?)([A-Za-z]+|\d+(?:\.\d+)?)")
 
 
+@functools.cache
+def _parse_coeff(expr):
+    """Sign and factors of a coefficient expression, parsed once per string.
+
+    Returns (sign, factors); each factor is (divides, token, literal), with
+    literal the value of a number token and None for a constant name.  The
+    cache is keyed by the expression itself, so a family whose rules are
+    replaced is read afresh; the catalog holds a few dozen expressions.
+    """
+    body = expr
+    sign = complex(1)
+    if body.startswith("-"):
+        sign = complex(-1)
+        body = body[1:]
+    factors = []
+    pos = 0
+    for match in _TOKEN.finditer(body):
+        op, token = match.group(1), match.group(2)
+        if match.start() != pos:
+            raise ValueError(f"bad coefficient expression {expr!r}")
+        pos = match.end()
+        literal = complex(float(token)) if token[0].isdigit() else None
+        factors.append((op == "/", token, literal))
+    if pos != len(body):
+        raise ValueError(f"bad coefficient expression {expr!r}")
+    return sign, tuple(factors)
+
+
 def _coeff_parts(expr, consts):
     """Split a coefficient expression into (known scalar, unknown signature).
 
@@ -200,25 +247,14 @@ def _coeff_parts(expr, consts):
     signature as (name, +1/-1) exponent pairs; an empty signature means the
     coefficient is fully determined.
     """
-    body = expr
-    value = complex(1)
+    value, factors = _parse_coeff(expr)
     unknown = []
-    if body.startswith("-"):
-        value = complex(-1)
-        body = body[1:]
-    pos = 0
-    for match in _TOKEN.finditer(body):
-        op, token = match.group(1), match.group(2)
-        if match.start() != pos:
-            raise ValueError(f"bad coefficient expression {expr!r}")
-        pos = match.end()
-        if token[0].isdigit():
-            factor = complex(float(token))
-        else:
+    for divides, token, factor in factors:
+        if factor is None:
             if token not in consts:
                 raise ValueError(f"unknown constant {token!r} in {expr!r}")
             factor = consts[token]
-        if op == "/":
+        if divides:
             if factor is None or abs(factor) <= TOL_FLOOR:
                 unknown.append((token, -1))
             else:
@@ -228,8 +264,6 @@ def _coeff_parts(expr, consts):
                 unknown.append((token, 1))
             else:
                 value *= factor
-    if pos != len(body):
-        raise ValueError(f"bad coefficient expression {expr!r}")
     return value, tuple(sorted(unknown))
 
 
@@ -280,23 +314,20 @@ def _pairs(target, terms, level="both"):
     return tuple(out)
 
 
-def _ratio(const, target, terms, level="both", invert=False, prefactor="1"):
-    return RatioEstimator(
-        const, (Route(_pairs(target, terms, level), invert, prefactor),)
-    )
+def _ratio(const, target, terms, level="both"):
+    return RatioEstimator(const, (Route(_pairs(target, terms, level)),))
 
 
 def _ratio2(const, route1, route2):
     return RatioEstimator(const, (route1, route2))
 
 
-def _fam(tag, bases, ties, estimators=(), constants=(), inverted=(),
+def _fam(tag, bases, ties, estimators=(), constants=(),
          claimed_rank=2, generic_rank=2, rank1_collapses=False, note=""):
     return Family(
         tag=tag,
         bases=tuple(bases),
         constants=tuple(constants),
-        inverted=frozenset(inverted),
         rules=_rules(set(bases), ties),
         estimators=tuple(estimators),
         claimed_rank=claimed_rank,
@@ -338,7 +369,7 @@ _CATALOG = (
           "m": _split((("A*t", "k"),), (("-1", "k"),))},
          estimators=(_ratio("A", "n", (("1", "k"),)),
                      _ratio("t", "l", (("1", "k"),), level="scal")),
-         constants=("A", "t"), inverted="A",
+         constants=("A", "t"),
          claimed_rank=2, generic_rank=2,
          note="mixed scalar/vector ties, lower row scaled by the upper"),
     _fam("K-7", "k",
@@ -347,10 +378,10 @@ _CATALOG = (
           "m": _split((("-alpha/A", "k"),), (("-1", "k"),))},
          estimators=(_ratio2("A",
                              Route(_pairs("n", (("1", "k"),), "vec")),
-                             Route(_pairs("l", (("1", "k"),)),
-                                   invert=True, prefactor="-1")),
+                             Route(_pairs("l", (("-1", "k"),)),
+                                   invert=True)),
                      _ratio("alpha", "n", (("1", "k"),), level="scal")),
-         constants=("A", "alpha"), inverted="A",
+         constants=("A", "alpha"),
          claimed_rank=2, generic_rank=2,
          note="lower row is -1/A times the upper row"),
     # ----- one base vector: m ------------------------------------------------
@@ -374,7 +405,7 @@ _CATALOG = (
           "l": _split((("t", "m"),), (("-1/A", "m"),))},
          estimators=(_ratio("A", "n", (("1", "m"),)),
                      _ratio("t", "l", (("1", "m"),), level="scal")),
-         constants=("A", "t"), inverted="A",
+         constants=("A", "t"),
          claimed_rank=2, generic_rank=2,
          note="mirror of K-6 with the roles of the diagonal blocks swapped"),
     _fam("M-6", "m",
@@ -383,10 +414,10 @@ _CATALOG = (
           "l": _prop(("-1/A", "m"))},
          estimators=(_ratio2("A",
                              Route(_pairs("n", (("1", "m"),), "vec")),
-                             Route(_pairs("l", (("1", "m"),)),
-                                   invert=True, prefactor="-1")),
+                             Route(_pairs("l", (("-1", "m"),)),
+                                   invert=True)),
                      _ratio("alpha", "n", (("1", "m"),), level="scal")),
-         constants=("A", "alpha"), inverted="A",
+         constants=("A", "alpha"),
          claimed_rank=2, generic_rank=2,
          note="mirror of K-7; left column is -1/A times the right column"),
     _fam("M-7", "m",
@@ -414,8 +445,7 @@ _CATALOG = (
           "m": _prop(("-A", "n"))},
          estimators=(_ratio2("A",
                              Route(_pairs("k", (("1", "n"),), "vec")),
-                             Route(_pairs("m", (("1", "n"),)),
-                                   prefactor="-1")),
+                             Route(_pairs("m", (("-1", "n"),)))),
                      _ratio("alpha", "k", (("1", "n"),), level="scal")),
          constants=("A", "alpha"),
          claimed_rank=2, generic_rank=2,
@@ -446,8 +476,7 @@ _CATALOG = (
           "m": _prop(("-A", "l"))},
          estimators=(_ratio2("A",
                              Route(_pairs("k", (("1", "l"),), "vec")),
-                             Route(_pairs("m", (("1", "l"),)),
-                                   prefactor="-1")),
+                             Route(_pairs("m", (("-1", "l"),)))),
                      _ratio("alpha", "k", (("1", "l"),), level="scal")),
          constants=("A", "alpha"),
          claimed_rank=2, generic_rank=2,
@@ -477,7 +506,7 @@ _CATALOG = (
                              Route(_pairs("n", (("1", "m"),))),
                              Route(_pairs("l", (("1", "k"),)),
                                    invert=True)),),
-         constants="B", inverted="B",
+         constants="B",
          claimed_rank=2, generic_rank=2,
          note="off-diagonal blocks B*M and K/B"),
     _fam("KM-4", ("k", "m"),
@@ -501,7 +530,7 @@ _CATALOG = (
                              Route(_pairs("k", (("1", "l"),))),
                              Route(_pairs("m", (("1", "n"),)),
                                    invert=True)),),
-         constants="A", inverted="A",
+         constants="A",
          claimed_rank=2, generic_rank=2,
          note="diagonal blocks A*L and N/A"),
     _fam("LN-2", ("l", "n"),
@@ -510,7 +539,7 @@ _CATALOG = (
                              Route(_pairs("k", (("1", "n"),))),
                              Route(_pairs("m", (("1", "l"),)),
                                    invert=True)),),
-         constants="B", inverted="B",
+         constants="B",
          claimed_rank=2, generic_rank=2,
          note="diagonal blocks B*N and L/B"),
     # ----- two base vectors: k, n -------------------------------------------
@@ -554,14 +583,14 @@ _CATALOG = (
          {"m": _prop(("1", "k"), ("A", "n"), ("-1/A", "l"))},
          estimators=(SplitEstimator("A", target="m", base="k",
                                     direct="n", inverse="l"),),
-         constants="A", inverted="A",
+         constants="A",
          claimed_rank=2, generic_rank=4,
          note="lower-right block fixed to K + A*N - L/A"),
     _fam("NLM-1", ("n", "l", "m"),
          {"k": _prop(("1", "m"), ("A", "l"), ("-1/A", "n"))},
          estimators=(SplitEstimator("A", target="k", base="m",
                                     direct="l", inverse="n"),),
-         constants="A", inverted="A",
+         constants="A",
          claimed_rank=2, generic_rank=4,
          note="upper-left block fixed to M + A*L - N/A"),
 )
@@ -586,24 +615,6 @@ def descriptor(tag) -> Family:
         raise UnknownTagError(
             f"unknown family tag {tag!r}; valid tags: {', '.join(FAMILY_TAGS)}"
         ) from None
-
-
-def _slot_view(p: ParamSet):
-    return {
-        "k0": p.k[:1], "k": p.k[1:],
-        "m0": p.m[:1], "m": p.m[1:],
-        "n0": p.n[:1], "n": p.n[1:],
-        "l0": p.l[:1], "l": p.l[1:],
-    }
-
-
-def _params_from_slots(slots) -> ParamSet:
-    return ParamSet(
-        k=np.concatenate([slots["k0"], slots["k"]]),
-        m=np.concatenate([slots["m0"], slots["m"]]),
-        l=np.concatenate([slots["l0"], slots["l"]]),
-        n=np.concatenate([slots["n0"], slots["n"]]),
-    )
 
 
 def construct(tag, constants=None, base=None) -> ParamSet:
@@ -634,37 +645,32 @@ def construct(tag, constants=None, base=None) -> ParamSet:
             f"{fam.tag} needs base vectors {list(fam.bases)}, got {sorted(base)}"
         )
 
-    slots = {}
+    arr = np.zeros(16, dtype=complex)
     for v in fam.bases:
-        cv = np.asarray(base[v], dtype=complex).reshape(4)
-        slots[v + "0"], slots[v] = cv[:1], cv[1:]
+        arr[_VEC_AT[v]] = np.asarray(base[v], dtype=complex).reshape(4)
     for slot, terms in fam.rules.items():
-        size = 1 if slot.endswith("0") else 3
-        acc = np.zeros(size, dtype=complex)
+        acc = np.zeros_like(arr[_SLOTS[slot]])
         for coeff, src in terms:
-            acc = acc + _coeff_value(coeff, constants) * slots[src]
-        slots[slot] = acc
-    return _params_from_slots(slots)
+            acc = acc + _coeff_value(coeff, constants) * arr[_SLOTS[src]]
+        arr[_SLOTS[slot]] = acc
+    return ParamSet(*arr.reshape(4, 4))
 
 
-def _estimate_ratio(est: RatioEstimator, slots, consts, thr):
+def _estimate_ratio(est: RatioEstimator, a, consts, thr):
     for route in est.routes:
-        prefactor = _coeff_value(route.prefactor, consts)
-        if prefactor is None:
-            continue
         w_parts, y_parts, usable = [], [], True
         for target, terms in route.pairs:
-            acc = np.zeros_like(slots[target])
+            acc = np.zeros_like(a[_SLOTS[target]])
             for coeff, src in terms:
                 val = _coeff_value(coeff, consts)
                 if val is None:
                     usable = False
                     break
-                acc = acc + val * slots[src]
+                acc = acc + val * a[_SLOTS[src]]
             if not usable:
                 break
-            w_parts.append(prefactor * acc)
-            y_parts.append(slots[target])
+            w_parts.append(acc)
+            y_parts.append(a[_SLOTS[target]])
         if not usable:
             continue
         w = np.concatenate(w_parts)
@@ -681,15 +687,10 @@ def _estimate_ratio(est: RatioEstimator, slots, consts, thr):
     return None
 
 
-def _estimate_split(est: SplitEstimator, slots, thr):
-    y = np.concatenate([
-        slots[est.target + "0"] - slots[est.base + "0"],
-        slots[est.target] - slots[est.base],
-    ])
-    u = np.concatenate([slots[est.direct + "0"], slots[est.direct]])
-    v = est.inverse_sign * np.concatenate(
-        [slots[est.inverse + "0"], slots[est.inverse]]
-    )
+def _estimate_split(est: SplitEstimator, a, thr):
+    y = a[_VEC_AT[est.target]] - a[_VEC_AT[est.base]]
+    u = a[_VEC_AT[est.direct]]
+    v = -a[_VEC_AT[est.inverse]]
     nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
     if nu <= thr and nv <= thr:
         return None
@@ -714,31 +715,31 @@ def membership(tag, p: ParamSet, tol: float = 1e-9) -> Membership:
     reported as None (indeterminate).
     """
     fam = descriptor(tag)
-    slots = _slot_view(p)
+    a = p._array
     scale = max(param_norm(p), TOL_FLOOR)
     thr = _INDET_REL * scale
     consts = {}
     for est in fam.estimators:
         if isinstance(est, RatioEstimator):
-            consts[est.const] = _estimate_ratio(est, slots, consts, thr)
+            consts[est.const] = _estimate_ratio(est, a, consts, thr)
         else:
-            consts[est.const] = _estimate_split(est, slots, thr)
+            consts[est.const] = _estimate_split(est, a, thr)
 
     total = 0.0
     feasible = True
     for slot, terms in fam.rules.items():
-        target = slots[slot]
+        target = a[_SLOTS[slot]]
         acc = np.zeros_like(target)
         pending = {}
         for coeff, src in terms:
             known, unknown = _coeff_parts(coeff, consts)
             if not unknown:
-                acc = acc + known * slots[src]
+                acc = acc + known * a[_SLOTS[src]]
                 continue
             # Terms sharing one indeterminate factor stand or fall together:
             # c*(u - v) vanishes for every c when u == v.
             combined = pending.get(unknown)
-            contrib = known * slots[src]
+            contrib = known * a[_SLOTS[src]]
             pending[unknown] = contrib if combined is None else combined + contrib
         for combined in pending.values():
             if float(np.linalg.norm(combined)) > thr:

@@ -2,6 +2,9 @@
 
 import dataclasses
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -9,9 +12,12 @@ import pytest
 from click.testing import CliRunner
 
 from kmln.cli import cli
+from kmln.core import ParamSet, assemble
+from kmln.documents import format_document
 from kmln.families import FAMILIES
 
 FIXTURE = Path(__file__).parent / "data" / "k3.json"
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 # classification of tests/data/k3.json, frozen byte for byte
 K3_CLASSIFY = """\
@@ -154,6 +160,34 @@ class TestExitCodes:
         assert len(lines) == 1
         assert lines[0].startswith("error: compose")
         assert "overflow" in lines[0]
+
+    @pytest.mark.parametrize("command, matrix_too, scale, message", [
+        ("classify", False, 1e308,
+         "error: assemble: the matrix overflows the floating-point range"),
+        ("compose", True, 1e200,
+         "error: compose: the product overflows the floating-point range"),
+    ], ids=["classify-params", "compose-params-and-matrix"])
+    def test_overflow_is_one_error_line_under_warnings_as_errors(
+            self, tmp_path, command, matrix_too, scale, message):
+        big = ParamSet(*[[scale, 0, 0, scale]] * 4)
+        doc = tmp_path / "big.json"
+        if matrix_too:
+            text = format_document(params=big, matrix=assemble(big))
+        else:
+            text = format_document(params=big)
+        doc.write_text(text)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [str(SRC), env.get("PYTHONPATH")])
+        )
+        args = [str(doc)] * (2 if command == "compose" else 1)
+        res = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "kmln", command, *args],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert res.returncode == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [message]
 
     def test_lying_meta_rejected(self, runner):
         text = FIXTURE.read_text().replace('"K-3"', '"K-4"')

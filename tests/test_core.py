@@ -12,18 +12,16 @@ from kmln import core
 from kmln.core import (
     SIGMA,
     TOL_FLOOR,
+    AssembleOverflowError,
     ComposeOverflowError,
     ParamSet,
     assemble,
-    block,
-    block_from_pair,
     compose,
     det_block,
     disassemble,
     identity_params,
     is_real_conditions,
     numeric_rank,
-    pair_from_block,
     param_norm,
     random_params,
     random_real_params,
@@ -42,6 +40,24 @@ stacks = st.integers(1, 6).flatmap(
 )
 
 
+# where each parameter vector's block sits in the assembled 4x4 matrix
+BLOCKS = {
+    "k": np.s_[:2, :2],
+    "m": np.s_[2:, 2:],
+    "l": np.s_[2:, :2],
+    "n": np.s_[:2, 2:],
+}
+
+
+def only(name, cv):
+    """ParamSet with vector `name` set to cv and the other three zero."""
+    return ParamSet(**{v: cv if v == name else np.zeros(4) for v in "kmln"})
+
+
+def pauli_expansion(cv):
+    return cv[0] * np.eye(2) + sum(cv[i + 1] * SIGMA[i] for i in range(3))
+
+
 def rel(a, b):
     return float(np.linalg.norm(np.asarray(a) - np.asarray(b))) / max(
         float(np.linalg.norm(np.asarray(b))), 1.0
@@ -58,25 +74,48 @@ class TestBlocks:
         assert np.allclose(SIGMA[1] @ SIGMA[2], 1j * SIGMA[0])
         assert np.allclose(SIGMA[2] @ SIGMA[0], 1j * SIGMA[1])
 
-    @given(cvec4)
-    def test_block_is_linear_combination(self, cv):
-        expected = cv[0] * np.eye(2) + sum(cv[i + 1] * SIGMA[i] for i in range(3))
-        assert np.allclose(block(cv), expected, atol=1e-12)
+    @given(paramsets)
+    def test_block_is_linear_combination(self, p):
+        g = assemble(p)
+        for name, at in BLOCKS.items():
+            assert np.allclose(g[at], pauli_expansion(getattr(p, name)),
+                               atol=1e-12)
 
     def test_block_entries(self):
-        b = block_from_pair(1 + 2j, np.array([3, 4j, 5 - 1j]))
-        assert b[0, 0] == (1 + 2j) + (5 - 1j)
-        assert b[1, 1] == (1 + 2j) - (5 - 1j)
-        assert b[0, 1] == 3 - 1j * 4j
-        assert b[1, 0] == 3 + 1j * 4j
+        cv = np.array([1 + 2j, 3, 4j, 5 - 1j])
+        for name, at in BLOCKS.items():
+            g = assemble(only(name, cv))
+            b = g[at]
+            assert b[0, 0] == (1 + 2j) + (5 - 1j)
+            assert b[1, 1] == (1 + 2j) - (5 - 1j)
+            assert b[0, 1] == 3 - 1j * 4j
+            assert b[1, 0] == 3 + 1j * 4j
+            b[...] = 0
+            assert not g.any()
 
     @given(cvec4)
-    def test_pair_from_block_inverts(self, cv):
-        assert np.allclose(pair_from_block(block(cv)), cv, atol=1e-12)
+    def test_disassemble_inverts_each_block(self, cv):
+        for name, at in BLOCKS.items():
+            g = np.zeros((4, 4), dtype=complex)
+            g[at] = pauli_expansion(cv)
+            back = disassemble(g)
+            for v in "kmln":
+                want = cv if v == name else np.zeros(4)
+                assert np.allclose(getattr(back, v), want, atol=1e-12)
 
     @given(cvec4)
     def test_det_block(self, cv):
-        assert abs(det_block(cv) - np.linalg.det(block(cv))) <= 1e-10
+        for name, at in BLOCKS.items():
+            block = assemble(only(name, cv))[at]
+            assert abs(det_block(cv) - np.linalg.det(block)) <= 1e-10
+
+    def test_basis_times_its_adjoint_is_twice_identity(self):
+        # U rebuilt column by column from the 16 unit component vectors
+        u = np.column_stack([
+            assemble(ParamSet(*e.reshape(4, 4))).ravel()
+            for e in np.eye(16, dtype=complex)
+        ])
+        assert np.array_equal(u @ u.conj().T, 2 * np.eye(16))
 
 
 class TestAssembly:
@@ -208,6 +247,20 @@ class TestProductLaw:
 
 
 class TestOverflow:
+    def test_assemble_overflow_raises_named_error_without_warnings(self):
+        big = ParamSet(k=[1e308] * 4, m=[0] * 4, l=[0] * 4, n=[0] * 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AssembleOverflowError,
+                               match="assemble.*overflow"):
+                assemble(big)
+            # half-sums of the largest finite entries, of either sign, stay
+            # finite
+            signs = np.random.default_rng(0).choice([-1.0, 1.0], (2, 4, 4))
+            g = np.finfo(float).max * (signs[0] + 1j * signs[1])
+            assert np.all(np.isfinite(disassemble(g).components()))
+        assert issubclass(AssembleOverflowError, ValueError)
+
     def test_overflow_raises_named_error_without_warnings(self):
         big = ParamSet(k=[1e200] * 4, m=[1e200] * 4,
                        l=[1e200] * 4, n=[1e200] * 4)

@@ -1,15 +1,12 @@
 """Document parsing, serialization and self-consistency checks."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from kmln.core import assemble, random_params
-from kmln.documents import (
-    DocumentError,
-    document_params,
-    format_document,
-    parse_document,
-)
+from kmln.core import AssembleOverflowError, ParamSet, assemble, random_params
+from kmln.documents import DocumentError, format_document, parse_document
 from kmln.families import construct
 
 
@@ -29,7 +26,7 @@ class TestRoundTrip:
         g = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
         doc = parse_document(format_document(matrix=g))
         assert np.allclose(doc.matrix, g)
-        assert np.allclose(assemble(document_params(doc)), g, atol=1e-13)
+        assert np.allclose(assemble(doc.params), g, atol=1e-13)
 
     def test_both_fields(self):
         p = k3_params()
@@ -105,6 +102,30 @@ class TestErrors:
         wrong = wrong + np.eye(4)
         with pytest.raises(DocumentError, match="disagrees"):
             parse_document(format_document(params=p, matrix=wrong))
+
+    @pytest.mark.parametrize("scale", [1e200, 1e300])
+    def test_cross_check_near_the_float_limit(self, scale):
+        p = random_params(np.random.default_rng(4))
+        big = ParamSet(*(scale * p.components()).reshape(4, 4))
+        g = assemble(big)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            doc = parse_document(format_document(params=big, matrix=g))
+            assert doc.params == big
+            wrong = g.copy()
+            wrong[0, 0] *= 1 + 1e-6
+            with pytest.raises(DocumentError, match="disagrees"):
+                parse_document(format_document(params=big, matrix=wrong))
+            with pytest.raises(DocumentError, match="disagrees"):
+                parse_document(format_document(params=big, matrix=-g))
+
+    def test_params_beyond_the_float_limit_are_a_named_error(self):
+        text = format_document(params=ParamSet(k=[1e308] * 4, m=[0] * 4,
+                                               l=[0] * 4, n=[0] * 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(AssembleOverflowError):
+                parse_document(text)
 
 
 class TestMetaCrossChecks:

@@ -54,6 +54,14 @@ class TestCatalogShape:
         with pytest.raises(UnknownTagError, match="K-1"):
             descriptor("K-99")
 
+    def test_inverted_constants_derived_from_rules(self):
+        inverting = {"K-6": "A", "K-7": "A", "M-5": "A", "M-6": "A",
+                     "KM-3": "B", "LN-1": "A", "LN-2": "B", "NLK-1": "A",
+                     "NLM-1": "A"}
+        for tag in FAMILY_TAGS:
+            want = {inverting[tag]} if tag in inverting else set()
+            assert FAMILIES[tag].inverted == want, tag
+
     def test_flags_consistent(self):
         for tag in FAMILY_TAGS:
             fam = FAMILIES[tag]
