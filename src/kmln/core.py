@@ -39,6 +39,7 @@ pure, so the module is safe to share across threads.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -281,11 +282,17 @@ def numeric_rank(g, tol: float = 1e-9) -> int:
     """Number of singular values above tol times the largest one.
 
     The zero matrix has rank 0.  `tol` must be positive and is relative,
-    so the result is scale invariant.
+    so the result is scale invariant.  The matrix is first divided by the
+    power of two of its largest real or imaginary part, which changes only
+    exponents, so the SVD cannot overflow near the floating-point limit.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    g = np.asarray(g, dtype=complex)
+    g = np.ascontiguousarray(g, dtype=complex)
+    parts = g.view(float)
+    top = float(np.abs(parts).max(initial=0.0))
+    if 0.0 < top < math.inf:
+        g = np.ldexp(parts, -math.frexp(top)[1]).view(complex)
     s = np.linalg.svd(g, compute_uv=False)
     if s.size == 0 or s[0] == 0.0:
         return 0

@@ -33,7 +33,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 import numpy as np
 
@@ -65,6 +65,7 @@ __all__ = [
     "descriptor",
     "construct",
     "membership",
+    "candidate_tags",
     "sample_constants",
     "sample_instance",
     "instance_params",
@@ -755,6 +756,168 @@ def membership(tag, p: ParamSet, tol: float = 1e-9) -> Membership:
         constants=consts,
         residual=residual,
     )
+
+
+# --- the residual screen -----------------------------------------------------
+
+# A family is screened out only when its residual bound exceeds 2*tol plus
+# this absolute slack (both relative to the parameter norm).  The slack
+# absorbs the rounding of the bound and of the residual membership()
+# computes; on members of all 39 families, NLK-1 and NLM-1 members with
+# nearly parallel columns among them, the bound came out at most 3.5e-15
+# above that residual.
+_SCREEN_SLACK = 1e-12
+# Two free columns u, v count as parallel, and their slot bound as 0, when
+# |u x v|^2 <= _SCREEN_PARALLEL * |u|^2 |v|^2.  The rounding error of the
+# two-column bound is about 3.5 eps |y| |u| |v| / |u x v|, so at this cut
+# it stays below 1e-13 of the parameter norm, well inside the slack.
+_SCREEN_PARALLEL = 1e-4
+# Squared norms at most this, on the rescaled array, may carry subnormal
+# rounding: a one-column bound divides by _SCREEN_TINY instead, which only
+# lowers it, and a two-column slot with |u x v|^2 this small bounds nothing.
+_SCREEN_TINY = 1e-280
+# Lanes rotated forward and back: lane i of a x b is
+# a[_NEXT[i]] b[_PREV[i]] - a[_PREV[i]] b[_NEXT[i]].
+_NEXT, _PREV = (1, 2, 0), (2, 0, 1)
+
+
+class _Screen(NamedTuple):
+    """The catalog's rules compiled into one gather table of linear forms.
+
+    The catalog needs only a few dozen distinct linear forms of the
+    component array x: form j is sum(coeff[:, j] * x[at[:, j]]).  ``rows``
+    picks the forms into these blocks, in order:
+
+    * ``n_plain`` lanes of targets y of slots without a free column;
+    * for the ``n_one`` one-column vector slots (pairs y, u) followed by
+      the ``n_two`` two-column ones (pairs u, v): the first member of each
+      pair with its lanes rotated forward, then back, and the second member
+      likewise, each block lane-major (3, pairs);
+    * the targets y of the two-column slots, lane-major (3, n_two).
+
+    ``family`` holds the index, into ``tags``, of each plain lane, then of
+    each one-column slot, then of each two-column slot.  A scalar slot with
+    a free column, or a slot with more than two, bounds nothing.
+    """
+
+    families: tuple
+    tags: tuple
+    at: np.ndarray
+    coeff: np.ndarray
+    rows: np.ndarray
+    n_plain: int
+    n_one: int
+    n_two: int
+    family: np.ndarray
+
+
+def _compile_screen(catalog) -> _Screen:
+    plain, ones, twos = [], [], []
+    for f, fam in enumerate(catalog.values()):
+        # with every constant unknown, _coeff_parts groups a slot's terms by
+        # the constants they carry: A*k - A*m is one column k - m
+        unknown = dict.fromkeys(fam.constants)
+        for slot, terms in fam.rules.items():
+            y, columns = [(1, slot)], {}
+            for coeff, src in terms:
+                known, signature = _coeff_parts(coeff, unknown)
+                if signature:
+                    columns.setdefault(signature, []).append((known, src))
+                else:
+                    y.append((-known, src))
+            columns = list(columns.values())
+            width = _SLOTS[slot].stop - _SLOTS[slot].start
+            if not columns:
+                plain += [(f, y, lane) for lane in range(width)]
+            elif width == 3 and len(columns) == 1:
+                ones.append((f, y, columns[0]))
+            elif width == 3 and len(columns) == 2:
+                twos.append((f, y, *columns))
+
+    def form(terms, lane):
+        return tuple((_SLOTS[src].start + lane, complex(c))
+                     for c, src in terms)
+
+    forms = [form(y, lane) for _, y, lane in plain]
+    pairs = [(y, u) for _, y, u in ones] + [(u, v) for _, _, u, v in twos]
+    for member, lanes in ((0, _NEXT), (0, _PREV), (1, _NEXT), (1, _PREV)):
+        forms += [form(pair[member], lane) for lane in lanes for pair in pairs]
+    forms += [form(y, lane) for lane in range(3) for _, y, _, _ in twos]
+
+    distinct = list(dict.fromkeys(forms))
+    # term-major, so the sum adds whole rows; padding terms read component
+    # 0 with coefficient 0
+    at = np.zeros((max(map(len, distinct)), len(distinct)), dtype=int)
+    coeff = np.zeros(at.shape, dtype=complex)
+    for j, terms in enumerate(distinct):
+        for t, (index, c) in enumerate(terms):
+            at[t, j], coeff[t, j] = index, c
+    position = {terms: j for j, terms in enumerate(distinct)}
+    rows = np.array([position[terms] for terms in forms])
+    family = np.array([f for f, *_ in plain + ones + twos], dtype=int)
+    for arr in (at, coeff, rows, family):
+        arr.setflags(write=False)
+    return _Screen(tuple(catalog.values()), tuple(catalog), at, coeff, rows,
+                   len(plain), len(ones), len(twos), family)
+
+
+# compiled on first use, and again whenever a FAMILIES entry is replaced
+_screen = None
+
+
+def _sq(z):
+    return z.real ** 2 + z.imag ** 2
+
+
+def candidate_tags(p: ParamSet, tol: float = 1e-9) -> tuple:
+    """Tags, in catalog order, of the families p may belong to at tol.
+
+    Computes a lower bound on every family's membership residual in one
+    batched pass: each coefficient that holds a constant becomes a free
+    complex scalar for its rule slot alone, so the rule residual at any
+    constants -- the ones membership() estimates included -- is at least
+    the slot's least-squares residual over those scalars.  A family is left
+    out only when its bound exceeds 2*tol plus a small absolute slack, so
+    membership(tag, p, tol).member is False for every tag left out.  The
+    bound runs on the component array divided by the power of two of its
+    largest real or imaginary part, so it cannot overflow.  A parameter set
+    whose parts all lie below TOL_FLOOR (the zero set among them) keeps
+    every tag: membership() measures its residual against that floor.
+    """
+    global _screen
+    if _screen is None or _screen.families != tuple(FAMILIES.values()):
+        _screen = _compile_screen(FAMILIES)
+    scr = _screen
+    a = p._array
+    top = float(np.abs(a.view(float)).max())
+    if top < TOL_FLOOR:
+        return scr.tags
+    # exact: a power of two changes exponents only, and top >= TOL_FLOOR
+    # keeps the factor finite
+    x = a * 2.0 ** -math.frexp(top)[1]
+
+    lin = (scr.coeff * x[scr.at]).sum(0)[scr.rows]
+    sq = _sq(lin)
+    r0, n1 = scr.n_plain, scr.n_one
+    r1 = r0 + 12 * (n1 + scr.n_two)
+    a_next, a_prev, b_next, b_prev = lin[r0:r1].reshape(4, 3, -1)
+    aa, _, bb, _ = sq[r0:r1].reshape(4, 3, -1).sum(1)
+    cross = a_next * b_prev - a_prev * b_next
+    cc = _sq(cross).sum(0)
+    # one column u: min over c of |y - c u|^2 = |y x u|^2 / |u|^2 (the
+    # Lagrange identity, free of cancellation); |y|^2 when u is zero
+    one = np.where(b_next[:, :n1].any(0),
+                   cc[:n1] / np.maximum(bb[:n1], _SCREEN_TINY), aa[:n1])
+    # two columns u, v: the distance from y to span(u, v) is
+    # |det[u, v, y]| / |u x v|
+    det = (lin[r1:].reshape(3, -1) * cross[:, n1:]).sum(0)
+    apart = cc[n1:] > _SCREEN_PARALLEL * aa[n1:] * bb[n1:] + _SCREEN_TINY
+    two = np.where(apart, _sq(det) / np.maximum(cc[n1:], _SCREEN_TINY), 0.0)
+    bound = np.bincount(scr.family, np.concatenate((sq[:r0], one, two)),
+                        len(scr.tags))
+    limit = (2 * tol + _SCREEN_SLACK) ** 2 * float(_sq(x).sum())
+    return tuple(tag for tag, b in zip(scr.tags, bound.tolist())
+                 if not b > limit)
 
 
 def sample_constants(tag, rng: np.random.Generator, real: bool = False):

@@ -176,8 +176,19 @@ def variant_membership(vid, g, tol: float = 1e-9) -> bool:
 
 
 def matching_variants(g, tol: float = 1e-9):
-    """All variant ids the matrix belongs to, in row-major order."""
-    return tuple(v for v in VARIANT_IDS if variant_membership(v, g, tol))
+    """All variant ids the matrix belongs to, in row-major order.
+
+    The test of variant_membership for every id at once: the threshold and
+    the squared norms of the rows and columns are computed one time each.
+    """
+    g = np.asarray(g, dtype=complex)
+    if g.shape != (4, 4):
+        raise ValueError(f"expected a 4x4 matrix, got shape {g.shape}")
+    thr = max(tol * float(np.linalg.norm(g)), TOL_FLOOR)
+    sq = g.real ** 2 + g.imag ** 2
+    row = (sq.sum(1) <= thr * thr).tolist()
+    col = (sq.sum(0) <= thr * thr).tolist()
+    return tuple((i, j) for i, j in VARIANT_IDS if row[i] and col[j])
 
 
 def sample_variant(vid, rng: np.random.Generator, real: bool = False) -> ParamSet:

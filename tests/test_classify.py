@@ -1,18 +1,30 @@
-"""Classifier: ranks, reality, memberships, ordering, false positives."""
+"""Classifier: ranks, reality, memberships, ordering, false positives,
+and the residual screen that decides which memberships classify runs."""
+
+import dataclasses
+import importlib
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kmln.classify import classify
-from kmln.core import assemble
+from kmln.core import ParamSet, assemble, disassemble
 from kmln.families import (
+    FAMILIES,
     FAMILY_TAGS,
     GROUP_TAGS,
+    candidate_tags,
     construct,
     instance_params,
+    membership,
     sample_instance,
 )
 from kmln.variants import VARIANT_IDS, sample_variant
+
+TOLS = (1e-12, 1e-9, 1e-6, 1e-3)
 
 
 class TestSpecialMatrices:
@@ -72,6 +84,8 @@ class TestNoFalsePositives:
             assert rep.rank == 4
             assert rep.families == ()
             assert rep.variants == ()
+            # the screen alone rules out every family
+            assert candidate_tags(disassemble(g)) == ()
 
 
 class TestBehaviour:
@@ -107,3 +121,106 @@ class TestBehaviour:
     def test_report_scale(self):
         g = 3.0 * np.eye(4)
         assert classify(g).scale == pytest.approx(6.0)
+
+
+def perturbed(g, rel, rng):
+    e = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
+    return g + rel * np.linalg.norm(g) / np.linalg.norm(e) * e
+
+
+def screen_inputs():
+    """Members of every family (complex and real), near misses at 1e-10,
+    1e-9 and 1e-8 relative, sparse unit inputs, zero and identity."""
+    rng = np.random.default_rng(47)
+    out = [np.zeros((4, 4)), np.eye(4)]
+    for tag in FAMILY_TAGS:
+        for real in (False, True):
+            out.append(assemble(instance_params(
+                sample_instance(tag, rng, real=real))))
+        g = out[-2]
+        out += [perturbed(g, rel, rng) for rel in (1e-10, 1e-9, 1e-8)]
+    units = np.eye(16, dtype=complex)
+    sparse = list(units) + [units[i] + 1j * units[(5 * i + 3) % 16]
+                            for i in range(16)]
+    out += [assemble(ParamSet(*a.reshape(4, 4))) for a in sparse]
+    return out
+
+
+def assert_screen_sound(p, tol):
+    kept = set(candidate_tags(p, tol))
+    for tag in FAMILY_TAGS:
+        if tag not in kept:
+            assert not membership(tag, p, tol).member, (tag, tol)
+
+
+def unscreened(monkeypatch):
+    """Make classify run membership for all 39 families."""
+    module = importlib.import_module("kmln.classify")
+    monkeypatch.setattr(module, "candidate_tags", lambda p, tol: FAMILY_TAGS)
+
+
+class TestScreen:
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_never_drops_a_member(self, tol):
+        for g in screen_inputs():
+            assert_screen_sound(disassemble(g), tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(tag=st.sampled_from(FAMILY_TAGS),
+           seed=st.integers(0, 2**32 - 1),
+           real=st.booleans(),
+           rel=st.sampled_from([0.0, 1e-11, 1e-10, 1e-9, 1e-8, 1e-6]),
+           scale=st.integers(-100, 100),
+           tol=st.sampled_from(TOLS))
+    def test_never_drops_a_member_property(self, tag, seed, real, rel, scale,
+                                           tol):
+        rng = np.random.default_rng(seed)
+        g = assemble(instance_params(sample_instance(tag, rng, real=real)))
+        g = perturbed(g, rel, rng) * 10.0 ** scale
+        assert_screen_sound(disassemble(g), tol)
+
+    @settings(max_examples=60, deadline=None)
+    @given(parts=st.lists(st.sampled_from([0, 0, 0, 1, -1, 1j, 0.5 - 2j]),
+                          min_size=16, max_size=16),
+           tol=st.sampled_from(TOLS))
+    def test_never_drops_a_member_sparse_property(self, parts, tol):
+        assert_screen_sound(ParamSet(*np.reshape(parts, (4, 4))), tol)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+    def test_classify_matches_the_unscreened_loop(self, tol, monkeypatch):
+        rng = np.random.default_rng(48)
+        inputs = screen_inputs()
+        inputs += [assemble(sample_variant(vid, rng)) for vid in VARIANT_IDS]
+        inputs += [rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
+                   for _ in range(20)]
+        screened = [repr(classify(g, tol)) for g in inputs]
+        unscreened(monkeypatch)
+        assert [repr(classify(g, tol)) for g in inputs] == screened
+
+    def test_rule_swap_is_honoured(self, monkeypatch):
+        # K-4 with m tied to k as well: a member of the swapped family is not
+        # a member of the catalog's K-4, and the reverse
+        swapped = construct("K-4", {"A": 1.5}, {"k": [1, 0.5j, -2, 0.25]})
+        swapped = ParamSet(k=swapped.k, m=swapped.k, l=swapped.l, n=swapped.n)
+        original = construct("K-4", {"A": 1.5}, {"k": [0.5, 1, 1j, -1]})
+        g, h = assemble(swapped), assemble(original)
+        assert "K-4" not in classify(g).family_tags
+        assert "K-4" in classify(h).family_tags
+        fam = FAMILIES["K-4"]
+        rules = dict(fam.rules, m0=(("1", "k0"),), m=(("1", "k"),))
+        with monkeypatch.context() as patch:
+            patch.setitem(FAMILIES, "K-4",
+                          dataclasses.replace(fam, rules=rules))
+            assert "K-4" in classify(g).family_tags
+            assert "K-4" not in classify(h).family_tags
+        assert "K-4" not in classify(g).family_tags
+        assert "K-4" in classify(h).family_tags
+
+    @pytest.mark.parametrize("scale", [1e-140, 1e140])
+    def test_extreme_scale_raises_no_warning(self, scale, monkeypatch):
+        inputs = [scale * g for g in screen_inputs()[::7]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            screened = [repr(classify(g)) for g in inputs]
+            unscreened(monkeypatch)
+            assert [repr(classify(g)) for g in inputs] == screened

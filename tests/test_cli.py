@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -188,6 +189,15 @@ class TestExitCodes:
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.splitlines() == [message]
+
+    def test_rank_near_the_float_limit(self, runner, tmp_path):
+        doc = tmp_path / "big.json"
+        doc.write_text(format_document(matrix=np.full((4, 4), 1e308)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = runner.invoke(cli, ["rank", str(doc)])
+        assert res.exit_code == 0
+        assert res.output == "rank: 1\n"
 
     def test_lying_meta_rejected(self, runner):
         text = FIXTURE.read_text().replace('"K-3"', '"K-4"')

@@ -301,6 +301,16 @@ class TestRank:
         g[3] = g[0] + g[1]
         assert numeric_rank(g) == numeric_rank(1e8 * g) == numeric_rank(1e-8 * g)
 
+    def test_extreme_scales(self):
+        # the SVD runs on the matrix divided by a power of two, so entries
+        # near the float limit neither overflow nor lose their rank
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert numeric_rank(np.full((4, 4), 1e308)) == 1
+            assert numeric_rank(np.full((4, 4), 1e308 - 1e308j)) == 1
+            assert numeric_rank(1e-300 * np.eye(4)) == 4
+            assert numeric_rank(5e-324 * np.eye(4)) == 4
+
     def test_tol_validation(self):
         with pytest.raises(ValueError):
             numeric_rank(np.eye(4), tol=0)

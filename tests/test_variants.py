@@ -155,3 +155,42 @@ class TestMembershipAndClosure:
     def test_membership_validates_shape(self):
         with pytest.raises(ValueError):
             variant_membership((0, 0), np.eye(3))
+        with pytest.raises(ValueError):
+            matching_variants(np.eye(3))
+
+
+def per_variant(g, tol):
+    """Reference for matching_variants: one variant_membership call per id."""
+    return tuple(v for v in VARIANT_IDS if variant_membership(v, g, tol))
+
+
+def near_threshold_inputs(tol):
+    """Variant members with row i or column j raised to 0.5x or 2x the
+    membership threshold tol * |g|."""
+    rng = np.random.default_rng(24)
+    for vid in VARIANT_IDS:
+        i, j = vid
+        g = assemble(sample_variant(vid, rng))
+        thr = tol * float(np.linalg.norm(g))
+        for factor in (0.5, 2.0):
+            for line in (np.s_[i, :], np.s_[:, j]):
+                h = g.copy()
+                e = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+                h[line] = factor * thr * e / np.linalg.norm(e)
+                yield vid, factor, h
+
+
+class TestMatchingVariants:
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+    def test_agrees_with_the_per_variant_loop(self, tol):
+        rng = np.random.default_rng(25)
+        inputs = [np.zeros((4, 4)), np.eye(4)]
+        inputs += [assemble(sample_variant(vid, rng)) for vid in VARIANT_IDS]
+        inputs += [h for _, _, h in near_threshold_inputs(tol)]
+        for g in inputs:
+            assert matching_variants(g, tol) == per_variant(g, tol)
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+    def test_threshold_is_relative_to_the_matrix(self, tol):
+        for vid, factor, h in near_threshold_inputs(tol):
+            assert (vid in matching_variants(h, tol)) == (factor < 1)
