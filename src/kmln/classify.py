@@ -18,10 +18,16 @@ when the bound exceeds 2*tol plus a 1e-12 slack, so every family the
 report lists went through the same membership() call as before, with the
 same constants and residual digits.  On generic input the bound excludes
 all 39 families.
+
+A matrix whose largest real or imaginary part is at least 1 is first
+divided by that part's power of two, which changes only exponents, so no
+norm or product overflows; ``scale`` is still the Frobenius norm of the
+matrix given, ``math.inf`` where that norm exceeds the float range.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,14 +62,24 @@ def classify(g, tol: float = 1e-9) -> ClassReport:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    g = np.asarray(g, dtype=complex)
+    g = np.ascontiguousarray(g, dtype=complex)
     if g.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {g.shape}")
-    if not np.all(np.isfinite(g.view(float))):
+    parts = g.view(float)
+    top = float(np.abs(parts).max())
+    if not math.isfinite(top):
         raise ValueError("matrix contains non-finite entries")
 
-    scale = float(np.linalg.norm(g))
-    thr = max(tol * scale, TOL_FLOOR)
+    # scaling up would move the thresholds that TOL_FLOOR bounds below
+    shift = math.frexp(top)[1] if top >= 1 else 0
+    if shift:
+        g = np.ldexp(parts, -shift).view(complex)
+    norm = float(np.linalg.norm(g))
+    try:
+        scale = math.ldexp(norm, shift)
+    except OverflowError:  # the true norm lies beyond the float range
+        scale = math.inf
+    thr = max(tol * norm, TOL_FLOOR)
     p = disassemble(g)
 
     memberships = []

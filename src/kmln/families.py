@@ -7,8 +7,6 @@ from named constants.  A family descriptor records
 * the free base vectors,
 * the tie rules, slot by slot (a slot is either the scalar part ``x0`` or
   the 3-component vector part ``x`` of one parameter vector),
-* how each constant is recovered from a parameter set (least squares over
-  the components it relates),
 * the rank label the catalog assigns to generic members (``claimed_rank``)
   next to the rank generic members actually have (``generic_rank``); the
   verification harness reports every mismatch between the two instead of
@@ -17,6 +15,20 @@ from named constants.  A family descriptor records
 Rule coefficients are written in a tiny expression form: products and
 quotients of constant names and integer literals with an optional leading
 minus, e.g. ``"A*D"``, ``"-1/A"``, ``"beta*A"``.
+
+The rules are the whole entry: how each constant is recovered from a
+parameter set is derived from them (``Family.routes``).  Each term is
+parsed once into a known part and the constants it carries.  A constant
+c with a slot of the form target = base + c*u + v/c (NLK-1, NLM-1) is
+solved for c and 1/c jointly over those slots.  Any other c is read by
+least squares: the target vectors are walked in block order k, n, l, m
+(the layout [[K, N], [L, M]]); in each, the slots whose terms all carry
+exactly c form one direct candidate (target ~ c*w) and those whose terms
+all carry exactly 1/c one inverted candidate (target ~ w/c).  Route r of
+each kind stacks the r-th candidate over each set of source vectors, so
+candidates over distinct sources are read together and a later one over
+the same sources is a fallback; direct routes come first, and the first
+route whose sources do not vanish decides.
 
 One catalog entry deserves a note: the two-constant family M-6 is stored
 here in the form forced by the multiplication law (the mirror image of
@@ -117,40 +129,6 @@ class ClosureViolation(Exception):
 
 
 @dataclass(frozen=True)
-class Route:
-    """One way to read a constant off a parameter set.
-
-    Stacks ``target`` slots against source-term combinations and solves the
-    single-unknown least-squares problem target ~ x * source.  The constant
-    is x, or 1/x when ``invert`` is set.
-    """
-
-    pairs: tuple
-    invert: bool = False
-
-
-@dataclass(frozen=True)
-class RatioEstimator:
-    const: str
-    routes: tuple
-
-
-@dataclass(frozen=True)
-class SplitEstimator:
-    """Estimator for rules target = base + c*direct - (1/c)*inverse.
-
-    Solves the two-column least-squares system for (c, 1/c) jointly and
-    falls back to whichever column is non-degenerate.
-    """
-
-    const: str
-    target: str
-    base: str
-    direct: str
-    inverse: str
-
-
-@dataclass(frozen=True)
 class Family:
     """Descriptor of one catalog family."""
 
@@ -158,22 +136,40 @@ class Family:
     bases: tuple
     constants: tuple = ()
     rules: Mapping[str, tuple] = field(default_factory=dict)
-    estimators: tuple = ()
     claimed_rank: int = 2
     generic_rank: int = 2
     rank1_collapses: bool = False
     note: str = ""
 
     @functools.cached_property
+    def parsed(self) -> dict:
+        """Each rule slot's terms as (known, signature, source), parsed once
+        with every constant unknown (see _coeff_parts): ``"-1/A"`` is known
+        part -1 with signature (("A", -1),)."""
+        unknown = dict.fromkeys(self.constants)
+        return {slot: tuple((*_coeff_parts(coeff, unknown), src)
+                            for coeff, src in terms)
+                for slot, terms in self.rules.items()}
+
+    @functools.cached_property
     def inverted(self) -> frozenset:
         """Constants some rule divides by; they must stay away from zero."""
-        return frozenset(
-            name
-            for terms in self.rules.values()
-            for coeff, _ in terms
-            for divides, name, literal in _parse_coeff(coeff)[1]
-            if divides and literal is None
-        )
+        return frozenset(name for terms in self.parsed.values()
+                         for _, signature, _ in terms
+                         for name, power in signature if power < 0)
+
+    @functools.cached_property
+    def routes(self) -> dict:
+        """How membership() reads each constant, derived from the rules.
+
+        Maps each constant c to its routes, tried in order.  A route is
+        (power, pieces): power 1 reads target ~ c*w and power -1 target ~
+        w/c by least squares over pieces (target slot, terms), w summing
+        known*source over the terms; power 0 is the joint solve for c and
+        1/c over pieces (target slot, base, direct and inverse term), each
+        term (known, source).
+        """
+        return {c: _derive_routes(self.parsed, c) for c in self.constants}
 
 
 @dataclass(frozen=True)
@@ -268,74 +264,25 @@ def _coeff_parts(expr, consts):
     return value, tuple(sorted(unknown))
 
 
-def _coeff_value(expr, consts):
-    """Value of a coefficient expression, or None if any constant involved
-    is indeterminate (or a divisor is too small to invert)."""
-    value, unknown = _coeff_parts(expr, consts)
-    return None if unknown else value
-
-
 # --- table-building helpers --------------------------------------------------
 
 
 def _prop(*terms):
     """Whole-vector tie: same coefficients for the scalar and vector slots."""
-    return {"scal": tuple((c, s + "0") for c, s in terms),
-            "vec": tuple((c, s) for c, s in terms)}
+    return _split(terms, terms)
 
 
 def _split(scal, vec):
     """Tie with distinct scalar-slot and vector-slot terms."""
-    return {"scal": tuple((c, s + "0") for c, s in scal),
-            "vec": tuple((c, s) for c, s in vec)}
+    return tuple((c, s + "0") for c, s in scal), tuple(vec)
 
 
-def _rules(bases, ties):
+def _fam(tag, bases, ties, constants=(), **labels):
     rules = {}
     for v in _VECS:
-        if v in bases:
-            continue
-        tie = ties.get(v)
-        if tie is None:
-            rules[v + "0"] = ()
-            rules[v] = ()
-        else:
-            rules[v + "0"] = tie["scal"]
-            rules[v] = tie["vec"]
-    return rules
-
-
-def _pairs(target, terms, level="both"):
-    """Route pairs tying a whole target vector to source terms."""
-    out = []
-    if level in ("both", "scal"):
-        out.append((target + "0", tuple((c, s + "0") for c, s in terms)))
-    if level in ("both", "vec"):
-        out.append((target, tuple((c, s) for c, s in terms)))
-    return tuple(out)
-
-
-def _ratio(const, target, terms, level="both"):
-    return RatioEstimator(const, (Route(_pairs(target, terms, level)),))
-
-
-def _ratio2(const, route1, route2):
-    return RatioEstimator(const, (route1, route2))
-
-
-def _fam(tag, bases, ties, estimators=(), constants=(),
-         claimed_rank=2, generic_rank=2, rank1_collapses=False, note=""):
-    return Family(
-        tag=tag,
-        bases=tuple(bases),
-        constants=tuple(constants),
-        rules=_rules(set(bases), ties),
-        estimators=tuple(estimators),
-        claimed_rank=claimed_rank,
-        generic_rank=generic_rank,
-        rank1_collapses=rank1_collapses,
-        note=note,
-    )
+        if v not in bases:
+            rules[v + "0"], rules[v] = ties.get(v, ((), ()))
+    return Family(tag, tuple(bases), tuple(constants), rules, **labels)
 
 
 # --- the catalog -------------------------------------------------------------
@@ -348,42 +295,28 @@ _CATALOG = (
     _fam("K-2", "k", {"m": _prop(("1", "k"))},
          claimed_rank=4, generic_rank=4,
          note="equal diagonal blocks, zero off-diagonal blocks"),
-    _fam("K-3", "k", {"l": _prop(("D", "k"))},
-         estimators=(_ratio("D", "l", (("1", "k"),)),), constants="D",
+    _fam("K-3", "k", {"l": _prop(("D", "k"))}, constants="D",
          claimed_rank=2, generic_rank=2, rank1_collapses=True,
          note="lower-left block D*K"),
-    _fam("K-4", "k", {"n": _prop(("A", "k"))},
-         estimators=(_ratio("A", "n", (("1", "k"),)),), constants="A",
+    _fam("K-4", "k", {"n": _prop(("A", "k"))}, constants="A",
          claimed_rank=2, generic_rank=2, rank1_collapses=True,
          note="upper-right block A*K"),
     _fam("K-5", "k",
          {"n": _prop(("A", "k")), "l": _prop(("D", "k")),
-          "m": _prop(("A*D", "k"))},
-         estimators=(_ratio("A", "n", (("1", "k"),)),
-                     _ratio("D", "l", (("1", "k"),))),
-         constants=("A", "D"),
+          "m": _prop(("A*D", "k"))}, constants=("A", "D"),
          claimed_rank=2, generic_rank=2, rank1_collapses=True,
          note="all four blocks proportional to K"),
     _fam("K-6", "k",
          {"n": _prop(("A", "k")),
           "l": _split((("t", "k"),), (("-1/A", "k"),)),
-          "m": _split((("A*t", "k"),), (("-1", "k"),))},
-         estimators=(_ratio("A", "n", (("1", "k"),)),
-                     _ratio("t", "l", (("1", "k"),), level="scal")),
-         constants=("A", "t"),
+          "m": _split((("A*t", "k"),), (("-1", "k"),))}, constants=("A", "t"),
          claimed_rank=2, generic_rank=2,
          note="mixed scalar/vector ties, lower row scaled by the upper"),
     _fam("K-7", "k",
          {"n": _split((("alpha", "k"),), (("A", "k"),)),
           "l": _prop(("-1/A", "k")),
           "m": _split((("-alpha/A", "k"),), (("-1", "k"),))},
-         estimators=(_ratio2("A",
-                             Route(_pairs("n", (("1", "k"),), "vec")),
-                             Route(_pairs("l", (("-1", "k"),)),
-                                   invert=True)),
-                     _ratio("alpha", "n", (("1", "k"),), level="scal")),
-         constants=("A", "alpha"),
-         claimed_rank=2, generic_rank=2,
+         constants=("A", "alpha"), claimed_rank=2, generic_rank=2,
          note="lower row is -1/A times the upper row"),
     # ----- one base vector: m ------------------------------------------------
     _fam("M-1", "m", {},
@@ -392,163 +325,104 @@ _CATALOG = (
     _fam("M-2", "m", {"k": _prop(("1", "m"))},
          claimed_rank=4, generic_rank=4,
          note="equal diagonal blocks, zero off-diagonal blocks"),
-    _fam("M-3", "m", {"l": _prop(("D", "m"))},
-         estimators=(_ratio("D", "l", (("1", "m"),)),), constants="D",
+    _fam("M-3", "m", {"l": _prop(("D", "m"))}, constants="D",
          claimed_rank=2, generic_rank=2, rank1_collapses=True,
          note="lower-left block D*M"),
-    _fam("M-4", "m", {"n": _prop(("A", "m"))},
-         estimators=(_ratio("A", "n", (("1", "m"),)),), constants="A",
+    _fam("M-4", "m", {"n": _prop(("A", "m"))}, constants="A",
          claimed_rank=2, generic_rank=2, rank1_collapses=True,
          note="upper-right block A*M"),
     _fam("M-5", "m",
          {"k": _split((("A*t", "m"),), (("-1", "m"),)),
           "n": _prop(("A", "m")),
-          "l": _split((("t", "m"),), (("-1/A", "m"),))},
-         estimators=(_ratio("A", "n", (("1", "m"),)),
-                     _ratio("t", "l", (("1", "m"),), level="scal")),
-         constants=("A", "t"),
+          "l": _split((("t", "m"),), (("-1/A", "m"),))}, constants=("A", "t"),
          claimed_rank=2, generic_rank=2,
          note="mirror of K-6 with the roles of the diagonal blocks swapped"),
     _fam("M-6", "m",
          {"k": _split((("-alpha/A", "m"),), (("-1", "m"),)),
           "n": _split((("alpha", "m"),), (("A", "m"),)),
-          "l": _prop(("-1/A", "m"))},
-         estimators=(_ratio2("A",
-                             Route(_pairs("n", (("1", "m"),), "vec")),
-                             Route(_pairs("l", (("-1", "m"),)),
-                                   invert=True)),
-                     _ratio("alpha", "n", (("1", "m"),), level="scal")),
-         constants=("A", "alpha"),
+          "l": _prop(("-1/A", "m"))}, constants=("A", "alpha"),
          claimed_rank=2, generic_rank=2,
          note="mirror of K-7; left column is -1/A times the right column"),
     _fam("M-7", "m",
          {"k": _prop(("A*D", "m")), "n": _prop(("A", "m")),
-          "l": _prop(("D", "m"))},
-         estimators=(_ratio("A", "n", (("1", "m"),)),
-                     _ratio("D", "l", (("1", "m"),))),
-         constants=("A", "D"),
+          "l": _prop(("D", "m"))}, constants=("A", "D"),
          claimed_rank=2, generic_rank=2, rank1_collapses=True,
          note="all four blocks proportional to M"),
     # ----- one base vector: n ------------------------------------------------
-    _fam("N-1", "n", {"k": _prop(("A", "n"))},
-         estimators=(_ratio("A", "k", (("1", "n"),)),), constants="A",
+    _fam("N-1", "n", {"k": _prop(("A", "n"))}, constants="A",
          claimed_rank=2, generic_rank=2, rank1_collapses=True,
          note="upper row (A*N, N), lower row zero"),
     _fam("N-2", "n",
          {"k": _prop(("A", "n")), "l": _prop(("A*A", "n")),
-          "m": _prop(("A", "n"))},
-         estimators=(_ratio("A", "k", (("1", "n"),)),), constants="A",
+          "m": _prop(("A", "n"))}, constants="A",
          claimed_rank=2, generic_rank=2, rank1_collapses=True,
          note="all four blocks proportional to N"),
     _fam("N-3", "n",
          {"k": _split((("alpha", "n"),), (("A", "n"),)),
           "l": _split((("-alpha*A", "n"),), (("-A*A", "n"),)),
-          "m": _prop(("-A", "n"))},
-         estimators=(_ratio2("A",
-                             Route(_pairs("k", (("1", "n"),), "vec")),
-                             Route(_pairs("m", (("-1", "n"),)))),
-                     _ratio("alpha", "k", (("1", "n"),), level="scal")),
-         constants=("A", "alpha"),
+          "m": _prop(("-A", "n"))}, constants=("A", "alpha"),
          claimed_rank=2, generic_rank=2,
          note="lower row is -A times the upper row"),
     _fam("N-4", "n",
          {"k": _prop(("A", "n")),
           "l": _split((("beta*A", "n"),), (("-A*A", "n"),)),
           "m": _split((("beta", "n"),), (("-A", "n"),))},
-         estimators=(_ratio("A", "k", (("1", "n"),)),
-                     _ratio("beta", "m", (("1", "n"),), level="scal")),
-         constants=("A", "beta"),
-         claimed_rank=2, generic_rank=2,
+         constants=("A", "beta"), claimed_rank=2, generic_rank=2,
          note="left column is A times the right column"),
     # ----- one base vector: l ------------------------------------------------
-    _fam("L-1", "l", {"k": _prop(("A", "l"))},
-         estimators=(_ratio("A", "k", (("1", "l"),)),), constants="A",
+    _fam("L-1", "l", {"k": _prop(("A", "l"))}, constants="A",
          claimed_rank=2, generic_rank=2, rank1_collapses=True,
          note="left column (A*L, L), right column zero"),
     _fam("L-2", "l",
          {"k": _prop(("A", "l")), "n": _prop(("A*A", "l")),
-          "m": _prop(("A", "l"))},
-         estimators=(_ratio("A", "k", (("1", "l"),)),), constants="A",
+          "m": _prop(("A", "l"))}, constants="A",
          claimed_rank=2, generic_rank=2, rank1_collapses=True,
          note="all four blocks proportional to L"),
     _fam("L-3", "l",
          {"k": _split((("alpha", "l"),), (("A", "l"),)),
           "n": _split((("-alpha*A", "l"),), (("-A*A", "l"),)),
-          "m": _prop(("-A", "l"))},
-         estimators=(_ratio2("A",
-                             Route(_pairs("k", (("1", "l"),), "vec")),
-                             Route(_pairs("m", (("-1", "l"),)))),
-                     _ratio("alpha", "k", (("1", "l"),), level="scal")),
-         constants=("A", "alpha"),
+          "m": _prop(("-A", "l"))}, constants=("A", "alpha"),
          claimed_rank=2, generic_rank=2,
          note="right column is -A times the left column"),
     _fam("L-4", "l",
          {"k": _prop(("A", "l")),
           "n": _split((("beta*A", "l"),), (("-A*A", "l"),)),
           "m": _split((("beta", "l"),), (("-A", "l"),))},
-         estimators=(_ratio("A", "k", (("1", "l"),)),
-                     _ratio("beta", "m", (("1", "l"),), level="scal")),
-         constants=("A", "beta"),
-         claimed_rank=2, generic_rank=2,
+         constants=("A", "beta"), claimed_rank=2, generic_rank=2,
          note="upper row is A times the lower row"),
     # ----- two base vectors: k, m -------------------------------------------
     _fam("KM-1", ("k", "m"), {},
          claimed_rank=4, generic_rank=4,
          note="block diagonal with independent diagonal blocks"),
     _fam("KM-2", ("k", "m"),
-         {"l": _prop(("D", "m"), ("-D", "k"))},
-         estimators=(_ratio("D", "l", (("1", "m"), ("-1", "k"))),),
-         constants="D",
+         {"l": _prop(("D", "m"), ("-D", "k"))}, constants="D",
          claimed_rank=2, generic_rank=4,
          note="block lower triangular, lower-left D*(M - K)"),
     _fam("KM-3", ("k", "m"),
-         {"n": _prop(("B", "m")), "l": _prop(("1/B", "k"))},
-         estimators=(_ratio2("B",
-                             Route(_pairs("n", (("1", "m"),))),
-                             Route(_pairs("l", (("1", "k"),)),
-                                   invert=True)),),
-         constants="B",
+         {"n": _prop(("B", "m")), "l": _prop(("1/B", "k"))}, constants="B",
          claimed_rank=2, generic_rank=2,
          note="off-diagonal blocks B*M and K/B"),
     _fam("KM-4", ("k", "m"),
-         {"n": _prop(("A", "k"), ("-A", "m"))},
-         estimators=(_ratio("A", "n", (("1", "k"), ("-1", "m"))),),
-         constants="A",
+         {"n": _prop(("A", "k"), ("-A", "m"))}, constants="A",
          claimed_rank=2, generic_rank=4,
          note="block upper triangular, upper-right A*(K - M)"),
     _fam("KM-5", ("k", "m"),
          {"n": _prop(("A", "k"), ("-A", "m")),
-          "l": _prop(("C", "k"), ("-C", "m"))},
-         estimators=(_ratio("A", "n", (("1", "k"), ("-1", "m"))),
-                     _ratio("C", "l", (("1", "k"), ("-1", "m")))),
-         constants=("A", "C"),
+          "l": _prop(("C", "k"), ("-C", "m"))}, constants=("A", "C"),
          claimed_rank=2, generic_rank=4,
          note="both off-diagonal blocks proportional to K - M"),
     # ----- two base vectors: l, n -------------------------------------------
     _fam("LN-1", ("l", "n"),
-         {"k": _prop(("A", "l")), "m": _prop(("1/A", "n"))},
-         estimators=(_ratio2("A",
-                             Route(_pairs("k", (("1", "l"),))),
-                             Route(_pairs("m", (("1", "n"),)),
-                                   invert=True)),),
-         constants="A",
+         {"k": _prop(("A", "l")), "m": _prop(("1/A", "n"))}, constants="A",
          claimed_rank=2, generic_rank=2,
          note="diagonal blocks A*L and N/A"),
     _fam("LN-2", ("l", "n"),
-         {"k": _prop(("B", "n")), "m": _prop(("1/B", "l"))},
-         estimators=(_ratio2("B",
-                             Route(_pairs("k", (("1", "n"),))),
-                             Route(_pairs("m", (("1", "l"),)),
-                                   invert=True)),),
-         constants="B",
+         {"k": _prop(("B", "n")), "m": _prop(("1/B", "l"))}, constants="B",
          claimed_rank=2, generic_rank=2,
          note="diagonal blocks B*N and L/B"),
     # ----- two base vectors: k, n -------------------------------------------
     _fam("KN-1", ("k", "n"),
-         {"l": _prop(("A", "k")), "m": _prop(("A", "n"))},
-         estimators=(RatioEstimator("A", (Route(
-             _pairs("l", (("1", "k"),)) + _pairs("m", (("1", "n"),))),)),),
-         constants="A",
+         {"l": _prop(("A", "k")), "m": _prop(("A", "n"))}, constants="A",
          claimed_rank=4, generic_rank=2,
          note="lower block row is A times the upper block row"),
     _fam("KN-2", ("k", "n"), {"m": _prop(("1", "k"))},
@@ -556,10 +430,7 @@ _CATALOG = (
          note="block upper triangular with equal diagonal blocks"),
     # ----- two base vectors: m, l -------------------------------------------
     _fam("ML-1", ("m", "l"),
-         {"k": _prop(("A", "l")), "n": _prop(("A", "m"))},
-         estimators=(RatioEstimator("A", (Route(
-             _pairs("k", (("1", "l"),)) + _pairs("n", (("1", "m"),))),)),),
-         constants="A",
+         {"k": _prop(("A", "l")), "n": _prop(("A", "m"))}, constants="A",
          claimed_rank=4, generic_rank=2,
          note="upper block row is A times the lower block row"),
     _fam("ML-2", ("m", "l"), {"k": _prop(("1", "m"))},
@@ -581,17 +452,11 @@ _CATALOG = (
          claimed_rank=2, generic_rank=4,
          note="upper-right block fixed to K - M + L"),
     _fam("NLK-1", ("n", "l", "k"),
-         {"m": _prop(("1", "k"), ("A", "n"), ("-1/A", "l"))},
-         estimators=(SplitEstimator("A", target="m", base="k",
-                                    direct="n", inverse="l"),),
-         constants="A",
+         {"m": _prop(("1", "k"), ("A", "n"), ("-1/A", "l"))}, constants="A",
          claimed_rank=2, generic_rank=4,
          note="lower-right block fixed to K + A*N - L/A"),
     _fam("NLM-1", ("n", "l", "m"),
-         {"k": _prop(("1", "m"), ("A", "l"), ("-1/A", "n"))},
-         estimators=(SplitEstimator("A", target="k", base="m",
-                                    direct="l", inverse="n"),),
-         constants="A",
+         {"k": _prop(("1", "m"), ("A", "l"), ("-1/A", "n"))}, constants="A",
          claimed_rank=2, generic_rank=4,
          note="upper-left block fixed to M + A*L - N/A"),
 )
@@ -650,48 +515,106 @@ def construct(tag, constants=None, base=None) -> ParamSet:
     for v in fam.bases:
         arr[_VEC_AT[v]] = np.asarray(base[v], dtype=complex).reshape(4)
     for slot, terms in fam.rules.items():
-        acc = np.zeros_like(arr[_SLOTS[slot]])
-        for coeff, src in terms:
-            acc = acc + _coeff_value(coeff, constants) * arr[_SLOTS[src]]
-        arr[_SLOTS[slot]] = acc
+        arr[_SLOTS[slot]] = _combine(arr, [(_coeff_parts(coeff, constants)[0],
+                                            src) for coeff, src in terms])
     return ParamSet(*arr.reshape(4, 4))
 
 
-def _estimate_ratio(est: RatioEstimator, a, consts, thr):
-    for route in est.routes:
-        w_parts, y_parts, usable = [], [], True
-        for target, terms in route.pairs:
-            acc = np.zeros_like(a[_SLOTS[target]])
-            for coeff, src in terms:
-                val = _coeff_value(coeff, consts)
-                if val is None:
-                    usable = False
-                    break
-                acc = acc + val * a[_SLOTS[src]]
-            if not usable:
-                break
-            w_parts.append(acc)
-            y_parts.append(a[_SLOTS[target]])
-        if not usable:
-            continue
-        w = np.concatenate(w_parts)
-        y = np.concatenate(y_parts)
+# --- reading the constants ---------------------------------------------------
+
+
+def _derive_routes(parsed, c):
+    """Routes along which membership() reads constant c, derived from the
+    parsed rules by the rule the module docstring states."""
+    roles = {(): 0, ((c, 1),): 1, ((c, -1),): -1}
+    split, found = [], {1: [], -1: []}
+    for v in "knlm":
+        pieces = {1: [], -1: []}
+        for slot in (v + "0", v):
+            terms, groups = parsed.get(slot, ()), {}
+            for known, signature, src in terms:
+                groups.setdefault(roles.get(signature), []).append((known, src))
+            if len(terms) == 3 and groups.keys() == {0, 1, -1}:
+                split.append((slot, *(groups[r][0] for r in (0, 1, -1))))
+            elif groups.keys() in ({1}, {-1}):
+                (power, group), = groups.items()
+                pieces[power].append((slot, tuple(group)))
+        for power, slots in pieces.items():
+            if slots:
+                sources = frozenset(src[0] for _, terms in slots
+                                    for _, src in terms)
+                found[power].append((sources, slots))
+    if split:
+        return ((0, tuple(split)),)
+    routes = []
+    for power in (1, -1):
+        stacked, seen = [], []
+        for sources, slots in found[power]:
+            r = seen.count(sources)
+            seen.append(sources)
+            if r == len(stacked):
+                stacked.append([])
+            stacked[r] += slots
+        routes += [(power, tuple(slots)) for slots in stacked]
+    return tuple(routes)
+
+
+def _combine(a, terms):
+    """Sum of known * a[source] over (known, source) terms, in rule order."""
+    acc = 0
+    for known, src in terms:
+        acc = acc + known * a[_SLOTS[src]]
+    return acc
+
+
+def _read(a, routes, thr):
+    """A constant read along its routes; the first route whose source part
+    has norm above thr decides, and None means every route is degenerate."""
+    for power, pieces in routes:
+        if power == 0:
+            return _split_solve(a, pieces, thr)
+        w = np.concatenate([_combine(a, terms) for _, terms in pieces])
+        y = np.concatenate([a[_SLOTS[target]] for target, _ in pieces])
         denom = float(np.real(np.vdot(w, w)))
         if math.sqrt(denom) <= thr:
             continue
         x = complex(np.vdot(w, y) / denom)
-        if route.invert:
-            if abs(x) <= TOL_FLOOR:
-                return None
-            return 1 / x
-        return x
+        if power == 1:
+            return x
+        return None if abs(x) <= TOL_FLOOR else 1 / x
     return None
 
 
-def _estimate_split(est: SplitEstimator, a, thr):
-    y = a[_VEC_AT[est.target]] - a[_VEC_AT[est.base]]
-    u = a[_VEC_AT[est.direct]]
-    v = -a[_VEC_AT[est.inverse]]
+@functools.cache
+def _split_plan(pieces):
+    """Gathers for the split solve from the float view of a component
+    array: the target indices, then the real known parts and indices of
+    the base, direct and inverse terms, each stacked over the pieces."""
+    def at(slot):
+        return np.arange(2 * _SLOTS[slot].start, 2 * _SLOTS[slot].stop)
+
+    plan = [np.concatenate([at(target) for target, *_ in pieces])]
+    for terms in list(zip(*pieces))[1:]:
+        plan.append(np.concatenate([np.full(len(at(src)), known.real)
+                                    for known, src in terms]))
+        plan.append(np.concatenate([at(src) for _, src in terms]))
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _split_solve(a, pieces, thr):
+    """c from target - base = c*u + (1/c)*v, solving for (c, 1/c) jointly
+    and falling back to whichever column is non-degenerate.
+
+    The terms are scaled on the float view: complex products would turn the
+    -0 of -a[source] into +0, and the sign of a zero steers LAPACK's
+    Householder reflections."""
+    at, kb, base, ku, direct, kv, inverse = _split_plan(pieces)
+    x = a.view(float)
+    y = (x[at] - kb * x[base]).view(complex)
+    u = (ku * x[direct]).view(complex)
+    v = (kv * x[inverse]).view(complex)
     nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
     if nu <= thr and nv <= thr:
         return None
@@ -710,21 +633,17 @@ def _estimate_split(est: SplitEstimator, a, thr):
 def membership(tag, p: ParamSet, tol: float = 1e-9) -> Membership:
     """Test whether p lies in the family, recovering its constants.
 
-    Each constant is read off by least squares over the components that
-    relate it; the full rule residual, relative to the parameter norm, then
-    decides membership.  Constants whose determining components vanish are
-    reported as None (indeterminate).
+    Each constant is read off by least squares along the routes derived
+    from the family's rules (Family.routes); the full rule residual,
+    relative to the parameter norm, then decides membership.  Constants
+    whose determining components vanish are reported as None
+    (indeterminate).
     """
     fam = descriptor(tag)
     a = p._array
     scale = max(param_norm(p), TOL_FLOOR)
     thr = _INDET_REL * scale
-    consts = {}
-    for est in fam.estimators:
-        if isinstance(est, RatioEstimator):
-            consts[est.const] = _estimate_ratio(est, a, consts, thr)
-        else:
-            consts[est.const] = _estimate_split(est, a, thr)
+    consts = {name: _read(a, routes, thr) for name, routes in fam.routes.items()}
 
     total = 0.0
     feasible = True
@@ -814,13 +733,11 @@ class _Screen(NamedTuple):
 def _compile_screen(catalog) -> _Screen:
     plain, ones, twos = [], [], []
     for f, fam in enumerate(catalog.values()):
-        # with every constant unknown, _coeff_parts groups a slot's terms by
-        # the constants they carry: A*k - A*m is one column k - m
-        unknown = dict.fromkeys(fam.constants)
-        for slot, terms in fam.rules.items():
+        # a slot's terms grouped by the constants they carry: A*k - A*m is
+        # one column k - m
+        for slot, terms in fam.parsed.items():
             y, columns = [(1, slot)], {}
-            for coeff, src in terms:
-                known, signature = _coeff_parts(coeff, unknown)
+            for known, signature, src in terms:
                 if signature:
                     columns.setdefault(signature, []).append((known, src))
                 else:

@@ -121,6 +121,11 @@ class TestBehaviour:
     def test_report_scale(self):
         g = 3.0 * np.eye(4)
         assert classify(g).scale == pytest.approx(6.0)
+        assert classify(np.full((4, 4), 1e308)).scale == np.inf
+
+    def test_column_major_input(self):
+        g = assemble(construct("K-3", {"D": 2}, {"k": [1, 0.5j, -2, 0.25]}))
+        assert repr(classify(g.T)) == repr(classify(g.T.copy()))
 
 
 def perturbed(g, rel, rng):
@@ -215,6 +220,24 @@ class TestScreen:
             assert "K-4" not in classify(h).family_tags
         assert "K-4" not in classify(g).family_tags
         assert "K-4" in classify(h).family_tags
+
+    def test_rule_swap_reaches_membership(self, monkeypatch):
+        # K-4 with n = 2*A*k: the constant is read through the swapped
+        # rules, so a member built with A = 1.5 gives back A = 1.5
+        fam = FAMILIES["K-4"]
+        rules = dict(fam.rules, n0=(("2*A", "k0"),), n=(("2*A", "k"),))
+        with monkeypatch.context() as patch:
+            patch.setitem(FAMILIES, "K-4",
+                          dataclasses.replace(fam, rules=rules))
+            p = construct("K-4", {"A": 1.5}, {"k": [1, 0.5j, -2, 0.25]})
+            assert np.allclose(p.n, 3 * p.k)
+            mb = membership("K-4", p)
+            assert mb.member
+            assert mb.constants["A"] == pytest.approx(1.5, rel=1e-15)
+            assert "K-4" in classify(assemble(p)).family_tags
+        mb = membership("K-4", p)
+        assert mb.member
+        assert mb.constants["A"] == pytest.approx(3, rel=1e-15)
 
     @pytest.mark.parametrize("scale", [1e-140, 1e140])
     def test_extreme_scale_raises_no_warning(self, scale, monkeypatch):

@@ -14,7 +14,7 @@ from click.testing import CliRunner
 
 from kmln.cli import cli
 from kmln.core import ParamSet, assemble
-from kmln.documents import format_document
+from kmln.documents import format_document, parse_document
 from kmln.families import FAMILIES
 
 FIXTURE = Path(__file__).parent / "data" / "k3.json"
@@ -43,6 +43,18 @@ variants: none
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+def run_strict(*args):
+    """``python -W error -m kmln ARGS`` in a fresh process."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(SRC), env.get("PYTHONPATH")])
+    )
+    return subprocess.run(
+        [sys.executable, "-W", "error", "-m", "kmln", *args],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
 
 
 class TestGen:
@@ -177,15 +189,8 @@ class TestExitCodes:
         else:
             text = format_document(params=big)
         doc.write_text(text)
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(
-            filter(None, [str(SRC), env.get("PYTHONPATH")])
-        )
         args = [str(doc)] * (2 if command == "compose" else 1)
-        res = subprocess.run(
-            [sys.executable, "-W", "error", "-m", "kmln", command, *args],
-            capture_output=True, text=True, env=env, timeout=120,
-        )
+        res = run_strict(command, *args)
         assert res.returncode == 2
         assert res.stdout == ""
         assert res.stderr.splitlines() == [message]
@@ -198,6 +203,24 @@ class TestExitCodes:
             res = runner.invoke(cli, ["rank", str(doc)])
         assert res.exit_code == 0
         assert res.output == "rank: 1\n"
+
+    def test_classify_is_scale_free_near_the_float_limit(self, tmp_path):
+        g = np.asarray(parse_document(FIXTURE.read_text()).matrix)
+        doc = tmp_path / "big.json"
+        doc.write_text(format_document(matrix=g * 2.0 ** 664))
+        res = run_strict("classify", str(doc))
+        assert res.returncode == 0
+        assert res.stderr == ""
+        assert res.stdout == run_strict("classify", str(FIXTURE)).stdout
+        assert res.stdout == K3_CLASSIFY
+
+    def test_classify_at_the_float_limit(self, tmp_path):
+        doc = tmp_path / "big.json"
+        doc.write_text(format_document(matrix=np.full((4, 4), 1e308)))
+        res = run_strict("classify", str(doc))
+        assert res.returncode == 0
+        assert res.stderr == ""
+        assert res.stdout.splitlines()[0] == "rank: 1"
 
     def test_lying_meta_rejected(self, runner):
         text = FIXTURE.read_text().replace('"K-3"', '"K-4"')

@@ -69,8 +69,9 @@ class TestCatalogShape:
             assert fam.claimed_rank in (2, 4)
             assert fam.inverted <= set(fam.constants)
             assert not (fam.rank1_collapses and fam.generic_rank == 4)
-            est_names = {e.const for e in fam.estimators}
-            assert est_names == set(fam.constants)
+            # every constant gets the split solve or at least one route
+            assert set(fam.routes) == set(fam.constants)
+            assert all(fam.routes.values()), tag
         assert set(COLLAPSING_TAGS) == {
             t for t in FAMILY_TAGS if FAMILIES[t].rank1_collapses
         }
@@ -166,6 +167,41 @@ class TestMembership:
         assert not mb.member
         assert mb.constants["D"] is None
         assert mb.residual == pytest.approx(1.0)
+
+    @pytest.mark.parametrize("tag, constants, base", [
+        # n-vector zero: A falls back from k = A*n to m = -A*n
+        ("N-3", {"A": 1.5, "alpha": -0.5j}, {"n": [2, 0, 0, 0]}),
+        # k-vector zero: A falls back from n = A*k to the inverted l = -k/A
+        ("K-7", {"A": 1.25 - 0.5j, "alpha": 2}, {"k": [1 - 1j, 0, 0, 0]}),
+        ("M-6", {"A": -0.75j, "alpha": 1 + 1j}, {"m": [0.5, 0, 0, 0]}),
+        # m zero: B falls back from n = B*m to the inverted l = k/B
+        ("KM-3", {"B": 2 - 1j},
+         {"k": [1, 0.5j, -2, 0.25], "m": [0, 0, 0, 0]}),
+        # l zero: A falls back from k = A*l to the inverted m = n/A
+        ("LN-1", {"A": 0.8j}, {"l": [0, 0, 0, 0], "n": [0.5, 1, 1j, -1]}),
+    ])
+    def test_fallback_route_recovers_constants(self, tag, constants, base):
+        mb = membership(tag, construct(tag, constants, base))
+        assert mb.member
+        assert mb.residual <= 1e-15
+        for name, given in constants.items():
+            assert mb.constants[name] == pytest.approx(given, rel=1e-15), name
+
+    @pytest.mark.parametrize("tag, want", [("KN-1", 0.5), ("ML-1", 2.0)])
+    def test_routes_over_distinct_sources_are_stacked(self, tag, want):
+        # an M-4 member (n = 2m, k = l = 0) lies in KN-1 with m = n/2 and in
+        # ML-1 with n = 2m.  Perturbed, its near-zero k and l carry no
+        # information about A; only the route that stacks both targets
+        # reads A from the large ones.
+        rng = np.random.default_rng(51)
+        for _ in range(50):
+            m = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+            a = construct("M-4", {"A": 2}, {"m": m})._array
+            e = rng.uniform(-1, 1, 16) + 1j * rng.uniform(-1, 1, 16)
+            a = a + 1e-10 * np.linalg.norm(a) / np.linalg.norm(e) * e
+            mb = membership(tag, ParamSet(*a.reshape(4, 4)))
+            assert mb.member
+            assert abs(mb.constants["A"] - want) <= 1e-8
 
     def test_indeterminate_with_nonzero_source_is_infeasible(self):
         # K-7 with l = 0 leaves A unreadable while the m0 rule still needs
