@@ -22,7 +22,9 @@ all 39 families.
 A matrix whose largest real or imaginary part is at least 1 is first
 divided by that part's power of two, which changes only exponents, so no
 norm or product overflows; ``scale`` is still the Frobenius norm of the
-matrix given, ``math.inf`` where that norm exceeds the float range.
+matrix given, ``math.inf`` where that norm exceeds the float range.  The
+reality test alone also scales small matrices up, so ``real`` does not
+depend on the scale of the input at all.
 """
 
 from __future__ import annotations
@@ -32,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kmln.core import TOL_FLOOR, disassemble, numeric_rank
+from kmln.core import disassemble, numeric_rank
 from kmln.families import _TAG_ORDER, candidate_tags, membership
 from kmln.variants import matching_variants
 
@@ -52,6 +54,15 @@ class ClassReport:
     @property
     def family_tags(self):
         return tuple(mb.tag for mb in self.families)
+
+
+def _is_real(parts, top, tol) -> bool:
+    """Whether the imaginary parts are within tol times the norm, decided on
+    the matrix scaled by the power of two of its largest part, up or down,
+    so that no floor makes the answer depend on scale; the zero matrix is
+    real."""
+    unit = np.ldexp(parts, -math.frexp(top)[1])
+    return bool(np.abs(unit[:, 1::2]).max() <= tol * np.linalg.norm(unit))
 
 
 def classify(g, tol: float = 1e-9) -> ClassReport:
@@ -79,7 +90,6 @@ def classify(g, tol: float = 1e-9) -> ClassReport:
         scale = math.ldexp(norm, shift)
     except OverflowError:  # the true norm lies beyond the float range
         scale = math.inf
-    thr = max(tol * norm, TOL_FLOOR)
     p = disassemble(g)
 
     memberships = []
@@ -91,7 +101,7 @@ def classify(g, tol: float = 1e-9) -> ClassReport:
 
     return ClassReport(
         rank=numeric_rank(g, tol),
-        real=bool(float(np.abs(g.imag).max()) <= thr),
+        real=_is_real(parts, top, tol),
         scale=scale,
         families=tuple(memberships),
         variants=matching_variants(g, tol),

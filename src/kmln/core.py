@@ -35,11 +35,18 @@ Conventions: a CVec4 is a shape-(4,) complex ndarray [c0, c1, c2, c3] whose
 tail is the Pauli vector part; blocks are (2, 2) and full matrices (4, 4)
 complex ndarrays.  Parameter sets are immutable and every function here is
 pure, so the module is safe to share across threads.
+
+Stacks: `assemble`, `disassemble`, `compose` and `numeric_rank` also take
+leading axes, a stack of parameter sets being a complex (..., 16) component
+array and a stack of matrices a (..., 4, 4) array; one item is the case
+with no leading axes, evaluated by the same code.  The random draws take a
+``size`` and then fill all their samples from one ``rng.uniform`` call laid
+out so that the stream is the one the same number of single draws would
+consume, value for value.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -78,6 +85,10 @@ SIGMA3 = np.array([[1, 0], [0, -1]], dtype=complex)
 SIGMA = (SIGMA1, SIGMA2, SIGMA3)
 
 _I2 = np.eye(2, dtype=complex)
+
+# Within a (4, 4) block of parameter vectors seen as (4, 8) floats: the
+# real part of component 2 and the imaginary parts of components 0, 1, 3.
+_OFF_REAL = np.array([1, 3, 4, 7])
 
 
 def _as_cvec4(value, name: str) -> np.ndarray:
@@ -121,11 +132,12 @@ class ParamSet:
     def _own(cls, arr: np.ndarray) -> ParamSet:
         """ParamSet taking over a finite complex (16,) array no other code holds.
 
-        Skips the copy and the checks of the keyword constructor; the
-        caller guarantees both.
+        Skips the checks of the keyword constructor, which the caller
+        guarantees, and copies only a view (a row of a stack), so the
+        fields stay views of an array that owns its data.
         """
         self = object.__new__(cls)
-        self._bind(arr)
+        self._bind(arr if arr.base is None else arr.copy())
         return self
 
     def _bind(self, arr: np.ndarray):
@@ -174,14 +186,18 @@ def _compile_basis():
 _U_COLS, _U_COEFF, _UH_COLS, _UH_COEFF = _compile_basis()
 
 
-def assemble(p: ParamSet) -> np.ndarray:
+def assemble(p) -> np.ndarray:
     """4x4 matrix [[K, N], [L, M]] built from the four parameter vectors.
 
-    Raises AssembleOverflowError when an entry of the matrix (a sum of two
-    finite components) overflows the floating-point range.
+    p is a ParamSet, or a component array of shape (..., 16) that gives a
+    stack of matrices of shape (..., 4, 4).  Raises AssembleOverflowError
+    when an entry of the matrix (a sum of two finite components) overflows
+    the floating-point range.
     """
+    a = _as_components(p, "assemble: p")
     with np.errstate(over="ignore", invalid="ignore"):
-        g = (_U_COEFF * p._array.take(_U_COLS)).sum(-1).reshape(4, 4)
+        g = (_U_COEFF * a.take(_U_COLS, -1)).sum(-1)
+    g = g.reshape(a.shape[:-1] + (4, 4))
     if not np.isfinite(g).all():
         raise AssembleOverflowError(
             "assemble: the matrix overflows the floating-point range"
@@ -189,16 +205,22 @@ def assemble(p: ParamSet) -> np.ndarray:
     return g
 
 
-def disassemble(g) -> ParamSet:
-    """Parameter vectors of a 4x4 complex matrix; inverse of `assemble`."""
+def disassemble(g):
+    """Parameter vectors of a 4x4 complex matrix; inverse of `assemble`.
+
+    A stack of matrices, shape (..., 4, 4), gives a (..., 16) component
+    array instead of a ParamSet.
+    """
     g = np.asarray(g, dtype=complex)
-    if g.shape != (4, 4):
+    if g.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {g.shape}")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("non-finite matrix entry")
     # each component is a half-sum of two finite entries, hence finite, and
     # the array is new: no copy and no second check needed
-    return ParamSet._own((_UH_COEFF * g.take(_UH_COLS)).sum(-1))
+    flat = g.reshape(g.shape[:-2] + (16,))
+    out = (_UH_COEFF * flat.take(_UH_COLS, -1)).sum(-1)
+    return ParamSet._own(out) if g.ndim == 2 else out
 
 
 def _compile_product_law():
@@ -233,14 +255,15 @@ _LAW_LEFT, _LAW_RIGHT, _LAW_COEFF = _compile_product_law()
 
 
 def _as_components(x, what: str) -> np.ndarray:
+    """The (16,) array of a ParamSet, or x checked as a (..., 16) stack."""
     if isinstance(x, ParamSet):
         return x._array
     arr = np.asarray(x, dtype=complex)
     if arr.ndim == 0 or arr.shape[-1] != 16:
-        raise ValueError(f"compose: {what} must be a ParamSet or an array of "
+        raise ValueError(f"{what} must be a ParamSet or an array of "
                          f"shape (..., 16), got shape {arr.shape}")
     if not np.isfinite(arr).all():
-        raise ValueError(f"compose: {what} has a non-finite component")
+        raise ValueError(f"{what} has a non-finite component")
     return arr
 
 
@@ -258,8 +281,8 @@ def compose(left, right):
     composes a whole stack of pairs.  Raises ComposeOverflowError when the
     product of finite operands overflows.
     """
-    a = _as_components(left, "left operand")
-    b = _as_components(right, "right operand")
+    a = _as_components(left, "compose: left operand")
+    b = _as_components(right, "compose: right operand")
     with np.errstate(over="ignore", invalid="ignore"):
         terms = _LAW_COEFF * a.take(_LAW_LEFT, -1) * b.take(_LAW_RIGHT, -1)
         out = terms.reshape(terms.shape[:-1] + (16, 8)).sum(-1)
@@ -278,25 +301,27 @@ def det_block(cv) -> complex:
     return complex(cv[0] ** 2 - cv[1:] @ cv[1:])
 
 
-def numeric_rank(g, tol: float = 1e-9) -> int:
+def numeric_rank(g, tol: float = 1e-9):
     """Number of singular values above tol times the largest one.
 
     The zero matrix has rank 0.  `tol` must be positive and is relative,
     so the result is scale invariant.  The matrix is first divided by the
     power of two of its largest real or imaginary part, which changes only
     exponents, so the SVD cannot overflow near the floating-point limit.
+    A stack of matrices (..., r, c) gives an integer array of shape (...)
+    from one stacked SVD.
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
     g = np.ascontiguousarray(g, dtype=complex)
     parts = g.view(float)
-    top = float(np.abs(parts).max(initial=0.0))
-    if 0.0 < top < math.inf:
-        g = np.ldexp(parts, -math.frexp(top)[1]).view(complex)
-    s = np.linalg.svd(g, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    top = np.abs(parts).max((-2, -1), keepdims=True, initial=0.0)
+    # frexp gives exponent 0 for a zero or non-finite top: no scaling
+    parts = np.ldexp(parts, -np.frexp(top)[1])
+    s = np.linalg.svd(parts.view(complex), compute_uv=False)
+    # s is non-negative, so an all-zero s counts nothing above tol * 0
+    above = s > tol * s[..., :1]
+    return int(np.count_nonzero(above)) if g.ndim == 2 else above.sum(-1)
 
 
 def param_norm(p: ParamSet) -> float:
@@ -304,23 +329,23 @@ def param_norm(p: ParamSet) -> float:
     return float(np.linalg.norm(p._array))
 
 
-def is_real_conditions(p: ParamSet, tol: float = 1e-9) -> bool:
+def is_real_conditions(p, tol: float = 1e-9):
     """True when p assembles to a real matrix, up to a relative tolerance.
 
     The assembled matrix is real exactly when each parameter vector has a
     purely imaginary second vector component (index 2) and real remaining
     components.  The tolerance is relative to the parameter norm with an
-    absolute floor.
+    absolute floor.  A (..., 16) component array gives a boolean array of
+    shape (...).
     """
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    thr = max(tol * param_norm(p), TOL_FLOOR)
-    for cv in (p.k, p.m, p.l, p.n):
-        if abs(cv[2].real) > thr:
-            return False
-        if max(abs(cv[0].imag), abs(cv[1].imag), abs(cv[3].imag)) > thr:
-            return False
-    return True
+    a = _as_components(p, "is_real_conditions: p")
+    thr = np.maximum(tol * np.linalg.norm(a, axis=-1), TOL_FLOOR)
+    # per vector: the real part of component 2, the imaginary part of the rest
+    off = np.abs(a.reshape(a.shape[:-1] + (4, 4)).view(float))[..., _OFF_REAL]
+    ok = off.max((-2, -1)) <= thr
+    return bool(ok) if isinstance(p, ParamSet) else ok
 
 
 def identity_params() -> ParamSet:
@@ -336,23 +361,56 @@ def zero_params() -> ParamSet:
     return ParamSet(k=z, m=z, l=z, n=z)
 
 
+# Uniform draws on [-1, 1] per CVec4: the real parts then the imaginary
+# parts, or, for the reality pattern, four real parts then the imaginary
+# part of component 2.
+_DRAWS = {False: 8, True: 5}
+
+
+def _cvec4_from_draws(x, real: bool = False) -> np.ndarray:
+    """CVec4s, shape (..., 4), from uniform draws of shape (..., 8) or,
+    with real, (..., 5), in the order random_cvec4 or random_real_cvec4
+    uses them."""
+    if real:
+        cv = x[..., :4].astype(complex)
+        cv[..., 2] = 1j * x[..., 4]
+        return cv
+    return x[..., :4] + 1j * x[..., 4:]
+
+
+def _shape(size) -> tuple:
+    return () if size is None else tuple(np.atleast_1d(size).tolist())
+
+
 def random_cvec4(rng: np.random.Generator) -> np.ndarray:
     """CVec4 with real and imaginary parts drawn uniformly from [-1, 1]."""
-    return rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+    return _cvec4_from_draws(rng.uniform(-1, 1, 8))
 
 
 def random_real_cvec4(rng: np.random.Generator) -> np.ndarray:
     """CVec4 satisfying the reality pattern: component 2 imaginary, rest real."""
-    cv = rng.uniform(-1, 1, 4).astype(complex)
-    cv[2] = 1j * rng.uniform(-1, 1)
-    return cv
+    return _cvec4_from_draws(rng.uniform(-1, 1, 5), real=True)
 
 
-def random_params(rng: np.random.Generator) -> ParamSet:
-    """Generic parameter set; components uniform over the complex square."""
-    return ParamSet(*(random_cvec4(rng) for _ in range(4)))
+def _random_components(rng, size, real):
+    shape = _shape(size)
+    x = rng.uniform(-1, 1, shape + (4, _DRAWS[real]))
+    arr = _cvec4_from_draws(x, real).reshape(shape + (16,))
+    return ParamSet._own(arr) if size is None else arr
 
 
-def random_real_params(rng: np.random.Generator) -> ParamSet:
-    """Parameter set of a random real matrix (reality pattern per vector)."""
-    return ParamSet(*(random_real_cvec4(rng) for _ in range(4)))
+def random_params(rng: np.random.Generator, size=None):
+    """Generic parameter set; components uniform over the complex square.
+
+    With a size, a (*size, 16) component array holding the sets that as
+    many calls without one would draw, in the same order.
+    """
+    return _random_components(rng, size, False)
+
+
+def random_real_params(rng: np.random.Generator, size=None):
+    """Parameter set of a random real matrix (reality pattern per vector).
+
+    With a size, a (*size, 16) component array, drawn as random_params.
+    """
+    return _random_components(rng, size, True)

@@ -50,15 +50,15 @@ from typing import Mapping, NamedTuple
 import numpy as np
 
 from kmln.core import (
+    _DRAWS,
     TOL_FLOOR,
     ParamSet,
+    _cvec4_from_draws,
+    _shape,
     assemble,
     compose,
-    det_block,
     numeric_rank,
     param_norm,
-    random_cvec4,
-    random_real_cvec4,
 )
 
 __all__ = [
@@ -483,15 +483,22 @@ def descriptor(tag) -> Family:
         ) from None
 
 
-def construct(tag, constants=None, base=None) -> ParamSet:
+def construct(tag, constants=None, base=None):
     """Parameter set of the family member with the given constants and base.
 
     ``base`` maps each free base vector name to a CVec4.  Constants the tag
     does not use are rejected, missing ones raise MissingConstantError and
     constants the rules invert must be bounded away from zero.
+
+    Base vectors of shape (..., 4) and constants of any shape broadcast to
+    a stack of members, returned as a (..., 16) component array; with no
+    leading axes the result is a ParamSet.  Coefficients are evaluated in
+    Python complex arithmetic at each set of constants, so every member of
+    a stack has the bits it has when built alone.
     """
     fam = descriptor(tag)
-    constants = {str(k): complex(v) for k, v in dict(constants or {}).items()}
+    constants = {str(k): np.asarray(v, dtype=complex)
+                 for k, v in dict(constants or {}).items()}
     unknown = sorted(set(constants) - set(fam.constants))
     if unknown:
         raise ValueError(
@@ -501,7 +508,7 @@ def construct(tag, constants=None, base=None) -> ParamSet:
     if missing:
         raise MissingConstantError(f"{fam.tag} requires constant {missing[0]!r}")
     for name in sorted(fam.inverted):
-        if abs(constants[name]) <= TOL_FLOOR:
+        if (np.abs(constants[name]) <= TOL_FLOOR).any():
             raise ZeroConstantError(
                 f"{fam.tag} inverts constant {name!r}; zero is not allowed"
             )
@@ -510,14 +517,30 @@ def construct(tag, constants=None, base=None) -> ParamSet:
         raise ValueError(
             f"{fam.tag} needs base vectors {list(fam.bases)}, got {sorted(base)}"
         )
+    base = {v: np.asarray(base[v], dtype=complex) for v in fam.bases}
+    for v, cv in base.items():
+        if cv.shape[-1:] != (4,):
+            raise ValueError(
+                f"{v}: expected 4 components, got shape {cv.shape}")
 
-    arr = np.zeros(16, dtype=complex)
-    for v in fam.bases:
-        arr[_VEC_AT[v]] = np.asarray(base[v], dtype=complex).reshape(4)
+    at = np.broadcast_shapes(*(c.shape for c in constants.values()))
+    shape = np.broadcast_shapes(at, *(cv.shape[:-1] for cv in base.values()))
+    # one dict of Python complex constants per member of the stack
+    points = [dict(zip(constants, values)) for values in
+              zip(*(np.broadcast_to(c, at).ravel().tolist()
+                    for c in constants.values()))] or [{}]
+    arr = np.zeros(shape + (16,), dtype=complex)
+    for v, cv in base.items():
+        arr[..., _VEC_AT[v]] = cv
     for slot, terms in fam.rules.items():
-        arr[_SLOTS[slot]] = _combine(arr, [(_coeff_parts(coeff, constants)[0],
-                                            src) for coeff, src in terms])
-    return ParamSet(*arr.reshape(4, 4))
+        arr[..., _SLOTS[slot]] = _combine(arr, [
+            (np.array([_coeff_parts(coeff, c)[0] for c in points])
+             .reshape(at + (1,)), src)
+            for coeff, src in terms])
+    finite = np.isfinite(arr).reshape(-1, 4, 4).all((0, 2))
+    if not finite.all():
+        raise ValueError(f"{'kmln'[finite.argmin()]}: non-finite component")
+    return arr if shape else ParamSet._own(arr)
 
 
 # --- reading the constants ---------------------------------------------------
@@ -560,10 +583,11 @@ def _derive_routes(parsed, c):
 
 
 def _combine(a, terms):
-    """Sum of known * a[source] over (known, source) terms, in rule order."""
+    """Sum of known * a[..., source] over (known, source) terms, in rule
+    order."""
     acc = 0
     for known, src in terms:
-        acc = acc + known * a[_SLOTS[src]]
+        acc = acc + known * a[..., _SLOTS[src]]
     return acc
 
 
@@ -851,13 +875,36 @@ def sample_constants(tag, rng: np.random.Generator, real: bool = False):
 
 
 def sample_instance(tag, rng: np.random.Generator, constants=None,
-                    real: bool = False) -> FamilyInstance:
-    """Random family member; base components uniform over [-1, 1]^2."""
+                    real: bool = False, size=None) -> FamilyInstance:
+    """Random family member; base components uniform over [-1, 1]^2.
+
+    With a size, a stack of members: every base vector, and every constant
+    drawn here, gains the leading axes ``size``.  All draws come from one
+    ``rng`` call laid out so that the stream is the one the same number of
+    calls without a size would consume, value for value.  Real constants
+    are the exception: their signs come from ``rng.choice``, which no
+    uniform draw reproduces, so a stack of real members needs its
+    constants given.
+    """
     fam = descriptor(tag)
-    if constants is None:
+    shape = _shape(size)
+    if constants is None and real:
+        if shape and fam.constants:
+            raise ValueError("a stack of real members needs its constants")
         constants = sample_constants(tag, rng, real)
-    draw = random_real_cvec4 if real else random_cvec4
-    base = {v: draw(rng) for v in fam.bases}
+    width = _DRAWS[real] * len(fam.bases)
+    if constants is None:
+        # per member: magnitude and phase of each constant, then the bases
+        u = rng.random(shape + (2 * len(fam.constants) + width,))
+        mag = 0.5 + 1.5 * u[..., 0:-width:2]
+        phase = u[..., 1:-width:2]
+        constants = dict(zip(fam.constants, np.moveaxis(
+            mag * np.exp(2j * np.pi * phase), -1, 0)))
+        x = -1 + 2 * u[..., -width:]
+    else:
+        x = rng.uniform(-1, 1, shape + (width,))
+    cvs = _cvec4_from_draws(x.reshape(shape + (len(fam.bases), -1)), real)
+    base = dict(zip(fam.bases, np.moveaxis(cvs, -2, 0)))
     return FamilyInstance(tag=fam.tag, constants=dict(constants), base=base)
 
 
@@ -888,10 +935,12 @@ def rank1_restrict(inst: FamilyInstance) -> FamilyInstance:
         )
     base = {}
     for name, cv in inst.base.items():
-        cv = np.asarray(cv, dtype=complex).reshape(4).copy()
-        scale2 = max(float(np.linalg.norm(cv)) ** 2, TOL_FLOOR)
-        if abs(det_block(cv)) > TOL_FLOOR * scale2:
-            cv[0] = np.sqrt(cv[1:] @ cv[1:])
+        # a stack of base vectors (..., 4): each is restricted on its own
+        cv = np.array(cv, dtype=complex)
+        vv = (cv[..., 1:] ** 2).sum(-1)
+        scale2 = np.maximum(_sq(cv).sum(-1), TOL_FLOOR)
+        hit = np.abs(cv[..., 0] ** 2 - vv) > TOL_FLOOR * scale2
+        cv[..., 0] = np.where(hit, np.sqrt(vv), cv[..., 0])
         base[name] = cv
     return FamilyInstance(tag=inst.tag, constants=dict(inst.constants), base=base)
 
@@ -906,22 +955,31 @@ def closure_check(tag, constants=None, samples: int = 100, seed: int = 0,
     fails membership, or when a constant recovered from a product drifts
     from the input constants by more than the tolerance; otherwise reports
     the worst membership residual, the constants recovered from the first
-    product and the largest constant drift seen.
+    product and the largest constant drift seen.  The pairs are drawn,
+    built and composed as one stack, in the order of a pair-by-pair loop,
+    and the products are tested one by one in that order.
     """
     fam = descriptor(tag)
     rng = np.random.default_rng(seed)
     if constants is None:
         constants = sample_constants(tag, rng, real)
+    pairs = sample_instance(tag, rng, constants, real, size=(samples, 2))
+    members = instance_params(pairs)
+    products = compose(members[:, 0], members[:, 1])
     worst = 0.0
     drift = 0.0
     recovered = None
-    for _ in range(samples):
-        left = sample_instance(tag, rng, constants, real)
-        right = sample_instance(tag, rng, constants, real)
-        product = compose(instance_params(left), instance_params(right))
-        mb = membership(tag, product, tol)
+
+    def pair(i):
+        return tuple(FamilyInstance(fam.tag, dict(constants),
+                                    {v: cv[i, side] for v, cv
+                                     in pairs.base.items()})
+                     for side in (0, 1))
+
+    for i, product in enumerate(products):
+        mb = membership(tag, ParamSet._own(product), tol)
         if not mb.member:
-            raise ClosureViolation(fam.tag, left, right, mb.residual)
+            raise ClosureViolation(fam.tag, *pair(i), mb.residual)
         worst = max(worst, mb.residual)
         if recovered is None:
             recovered = dict(mb.constants)
@@ -931,7 +989,7 @@ def closure_check(tag, constants=None, samples: int = 100, seed: int = 0,
                 drift = max(drift, abs(got - given))
                 if abs(got - given) > tol * max(abs(given), 1.0):
                     raise ClosureViolation(
-                        fam.tag, left, right, abs(got - given),
+                        fam.tag, *pair(i), abs(got - given),
                         reason=f"constant {name} drifted under composition",
                     )
     return ClosureReport(
@@ -947,8 +1005,5 @@ def closure_check(tag, constants=None, samples: int = 100, seed: int = 0,
 def rank_profile(tag, seed: int = 0, instances: int = 20) -> int:
     """Largest numeric rank over random instances with generic constants."""
     rng = np.random.default_rng(seed)
-    best = 0
-    for _ in range(instances):
-        inst = sample_instance(tag, rng)
-        best = max(best, numeric_rank(assemble(instance_params(inst))))
-    return best
+    inst = sample_instance(tag, rng, size=instances)
+    return int(numeric_rank(assemble(instance_params(inst))).max())

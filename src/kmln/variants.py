@@ -16,11 +16,17 @@ named ``k0..k3, m0..m3, n0..n3, l0..l3``.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from kmln.core import TOL_FLOOR, ParamSet, assemble, disassemble, param_norm
+from kmln.core import (
+    TOL_FLOOR,
+    ParamSet,
+    _as_components,
+    assemble,
+    disassemble,
+    random_params,
+    random_real_params,
+)
 
 __all__ = [
     "VARIANT_IDS",
@@ -147,32 +153,48 @@ def variant_constraints(vid):
     return _CONSTRAINTS[parse_variant(vid)]
 
 
-def constraint_residual(vid, p: ParamSet) -> float:
-    """Relative residual of the constraint table on a parameter set."""
-    values = (_TABLES[parse_variant(vid)] * p.components()).sum(-1)
-    total = float((values.real ** 2 + values.imag ** 2).sum())
-    return math.sqrt(total) / max(param_norm(p), TOL_FLOOR)
+def constraint_residual(vid, p):
+    """Relative residual of the constraint table on a parameter set.
+
+    A (..., 16) component array gives the residuals of the stack.
+    """
+    table = _TABLES[parse_variant(vid)]
+    a = _as_components(p, "constraint_residual: p")
+    values = (table * a[..., None, :]).sum(-1)
+    total = (values.real ** 2 + values.imag ** 2).sum(-1)
+    out = np.sqrt(total) / np.maximum(np.linalg.norm(a, axis=-1), TOL_FLOOR)
+    return float(out) if isinstance(p, ParamSet) else out
 
 
-def construct_variant(vid, p: ParamSet) -> ParamSet:
-    """Project a parameter set into a variant by zeroing row i and column j."""
+def construct_variant(vid, p):
+    """Project a parameter set into a variant by zeroing row i and column j.
+
+    A (..., 16) component array gives the projected (..., 16) stack.
+    """
     i, j = parse_variant(vid)
     g = assemble(p)
-    g[i, :] = 0
-    g[:, j] = 0
+    g[..., i, :] = 0
+    g[..., :, j] = 0
     return disassemble(g)
+
+
+def _lines_vanish(vid, g, tol):
+    """variant_membership over a stack of matrices (..., 4, 4): a boolean
+    array of shape (...)."""
+    i, j = vid
+    thr = np.maximum(tol * np.linalg.norm(g, axis=(-2, -1)), TOL_FLOOR)
+    row = np.linalg.norm(g[..., i, :], axis=-1)
+    col = np.linalg.norm(g[..., :, j], axis=-1)
+    return (row <= thr) & (col <= thr)
 
 
 def variant_membership(vid, g, tol: float = 1e-9) -> bool:
     """Whether row i and column j of the matrix vanish (relative tolerance)."""
-    i, j = parse_variant(vid)
+    vid = parse_variant(vid)
     g = np.asarray(g, dtype=complex)
     if g.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {g.shape}")
-    thr = max(tol * float(np.linalg.norm(g)), TOL_FLOOR)
-    row = float(np.linalg.norm(g[i, :]))
-    col = float(np.linalg.norm(g[:, j]))
-    return row <= thr and col <= thr
+    return bool(_lines_vanish(vid, g, tol))
 
 
 def matching_variants(g, tol: float = 1e-9):
@@ -191,9 +213,12 @@ def matching_variants(g, tol: float = 1e-9):
     return tuple((i, j) for i, j in VARIANT_IDS if row[i] and col[j])
 
 
-def sample_variant(vid, rng: np.random.Generator, real: bool = False) -> ParamSet:
-    """Random variant member: a random parameter set projected into it."""
-    from kmln.core import random_params, random_real_params
+def sample_variant(vid, rng: np.random.Generator, real: bool = False,
+                   size=None):
+    """Random variant member: a random parameter set projected into it.
 
-    p = random_real_params(rng) if real else random_params(rng)
-    return construct_variant(vid, p)
+    With a size, a (*size, 16) component array of members drawn as
+    random_params draws a stack.
+    """
+    draw = random_real_params if real else random_params
+    return construct_variant(vid, draw(rng, size))

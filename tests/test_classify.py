@@ -103,6 +103,20 @@ class TestBehaviour:
         assert classify(rng.uniform(-1, 1, (4, 4))).real
         assert not classify(rng.uniform(-1, 1, (4, 4)) + 0.5j * np.eye(4)).real
 
+    @pytest.mark.parametrize("s", [1, 1e-3, 1e-6, 1e-100, 1e-300])
+    def test_real_flag_does_not_depend_on_scale(self, s):
+        # imaginary parts at 5e-12 against tol * norm = 2e-12 stay complex
+        # below the 1e-14 floor too; a real matrix stays real
+        g = np.eye(4) + 5e-12j * np.ones((4, 4))
+        assert not classify(s * g, tol=1e-12).real
+        real = np.random.default_rng(47).uniform(-1, 1, (4, 4))
+        assert classify(s * real, tol=1e-12).real
+        assert classify(s * real).real
+
+    def test_zero_matrix_is_real(self):
+        assert classify(np.zeros((4, 4))).real
+        assert classify(np.zeros((4, 4)), tol=1e-15).real
+
     def test_validation(self):
         with pytest.raises(ValueError):
             classify(np.eye(3))

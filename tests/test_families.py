@@ -236,6 +236,14 @@ class TestClosure:
             assert exc.value.tag == "K-4"
             assert exc.value.left.tag == "K-4"
             assert exc.value.residual > 1e-3
+            # the first pair a pair-by-pair loop draws from seed 1, after
+            # the constant's magnitude and phase
+            rng = np.random.default_rng(1)
+            rng.uniform(0.5, 2.0), rng.uniform()
+            for side in (exc.value.left, exc.value.right):
+                k = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+                assert side.base.keys() == {"k"}
+                assert np.array_equal(side.base["k"], k)
         finally:
             FAMILIES["K-4"] = fam
 

@@ -1,6 +1,7 @@
 """Verification suite: determinism, coverage, fault visibility."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +9,7 @@ from kmln.families import FAMILIES
 from kmln.harness import SuiteConfig, run_suite
 
 SMALL = dict(samples=15, rank_instances=6)
+DATA = Path(__file__).parent / "data"
 
 DISPUTED_RANK_TAGS = {"KM-2", "KM-4", "KM-5", "KN-1", "KN-2", "ML-1", "ML-2",
                       "KMN-2", "KML-2", "NLK-1", "NLM-1"}
@@ -54,6 +56,16 @@ class TestFullRun:
         for line in lines[1:-1]:
             assert line.startswith("check=")
             assert " status=" in line
+
+    @pytest.mark.parametrize("real", [False, True])
+    def test_text_matches_golden(self, real):
+        # captured before the checks drew their samples as stacks; the
+        # stacks are drawn in the same order, so the bytes must not move
+        name = "suite_seed77_small_real.txt" if real else \
+            "suite_seed77_small.txt"
+        golden = (DATA / name).read_bytes()
+        text = run_suite(SuiteConfig(seed=77, real=real, **SMALL)).to_text()
+        assert text.encode() == golden
 
     def test_seed_changes_samples_not_structure(self, full_report):
         other = run_suite(SuiteConfig(seed=78, **SMALL))
