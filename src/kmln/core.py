@@ -334,14 +334,21 @@ def is_real_conditions(p, tol: float = 1e-9):
 
     The assembled matrix is real exactly when each parameter vector has a
     purely imaginary second vector component (index 2) and real remaining
-    components.  The tolerance is relative to the parameter norm with an
-    absolute floor.  A (..., 16) component array gives a boolean array of
-    shape (...).
+    components.  The tolerance is relative to the parameter norm, so the
+    answer does not depend on scale: each set is first divided by the power
+    of two of its largest real or imaginary part, which changes only
+    exponents, so the norm neither overflows nor underflows.  The zero set
+    is real.  A (..., 16) component array gives a boolean array of shape
+    (...).
     """
     if tol < 0:
         raise ValueError("tol must be non-negative")
-    a = _as_components(p, "is_real_conditions: p")
-    thr = np.maximum(tol * np.linalg.norm(a, axis=-1), TOL_FLOOR)
+    parts = np.ascontiguousarray(
+        _as_components(p, "is_real_conditions: p")).view(float)
+    top = np.abs(parts).max(-1, keepdims=True, initial=0.0)
+    # frexp gives exponent 0 for a zero top: the zero set stays zero
+    a = np.ldexp(parts, -np.frexp(top)[1]).view(complex)
+    thr = tol * np.linalg.norm(a, axis=-1)
     # per vector: the real part of component 2, the imaginary part of the rest
     off = np.abs(a.reshape(a.shape[:-1] + (4, 4)).view(float))[..., _OFF_REAL]
     ok = off.max((-2, -1)) <= thr

@@ -171,6 +171,12 @@ class Family:
         """
         return {c: _derive_routes(self.parsed, c) for c in self.constants}
 
+    @functools.cached_property
+    def coeffs(self) -> tuple:
+        """The distinct coefficient expressions of the rules, in rule order."""
+        return tuple(dict.fromkeys(coeff for terms in self.rules.values()
+                                   for coeff, _ in terms))
+
 
 @dataclass(frozen=True)
 class Membership:
@@ -609,6 +615,31 @@ def _read(a, routes, thr):
     return None
 
 
+def _read_rows(a, routes, thr):
+    """_read on each row of a (n, 16) stack, as a list, with the same bits:
+    np.vecdot takes the same conjugated dot per row as np.vdot, and only
+    the rows a route decides are divided."""
+    got = [None] * len(a)
+    rows = np.arange(len(a))
+    for power, pieces in routes:
+        if power == 0:
+            for i in rows.tolist():
+                got[i] = _split_solve(a[i], pieces, thr[i])
+            break
+        sub = a[rows]
+        w = np.concatenate([_combine(sub, terms) for _, terms in pieces], -1)
+        y = np.concatenate([sub[:, _SLOTS[target]] for target, _ in pieces],
+                           -1)
+        denom = np.vecdot(w, w).real
+        ok = np.sqrt(denom) > thr[rows]
+        x = np.vecdot(w[ok], y[ok]) / denom[ok]
+        for i, xi in zip(rows[ok].tolist(), x.tolist()):
+            got[i] = xi if power == 1 else (
+                None if abs(xi) <= TOL_FLOOR else 1 / xi)
+        rows = rows[~ok]
+    return got
+
+
 @functools.cache
 def _split_plan(pieces):
     """Gathers for the split solve from the float view of a component
@@ -654,6 +685,67 @@ def _split_solve(a, pieces, thr):
     return None
 
 
+# --- the rule residual -------------------------------------------------------
+
+
+def _row_dot(u):
+    """u . u for each row of a real (n, L) array, as np.dot takes it alone:
+    np.linalg.norm dots the strided real and imaginary views of a vector,
+    and one stacked product per row on the same views rounds the same way
+    (dots of contiguous copies, einsum or sum do not)."""
+    return np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0]
+
+
+def _norm(z):
+    """np.linalg.norm of a vector as a float, or of each row of a (n, L)
+    stack as an array with the same bits."""
+    if z.ndim == 1:
+        return float(np.linalg.norm(z))
+    return np.sqrt(_row_dot(z.real) + _row_dot(z.imag))
+
+
+def _sq_norm(z):
+    """_norm(z) squared the way numpy squares a float64 scalar: by pow,
+    which float_power takes on a stack and x*x does not always match."""
+    if z.ndim == 1:
+        return float(np.linalg.norm(z) ** 2)
+    return np.float_power(_norm(z), 2)
+
+
+def _rule_total(rules, a, parts, thr):
+    """Squared rule residual of a (16,) set, summed over the slots in rule
+    order, or of each row of a (n, 16) stack as an array; inf where the
+    terms sharing one indeterminate factor do not vanish.
+
+    ``parts`` maps each coefficient to its (known part, signature) as
+    _coeff_parts gives them; on a stack the rows share every signature and
+    each known part is a (n, 1) column, one value per row.  A single set
+    stops at its first infeasible slot."""
+    total = 0.0
+    for slot, terms in rules.items():
+        target = a[..., _SLOTS[slot]]
+        acc = np.zeros_like(target)
+        pending = {}
+        for coeff, src in terms:
+            known, unknown = parts[coeff]
+            if not unknown:
+                acc = acc + known * a[..., _SLOTS[src]]
+                continue
+            # Terms sharing one indeterminate factor stand or fall together:
+            # c*(u - v) vanishes for every c when u == v.
+            combined = pending.get(unknown)
+            contrib = known * a[..., _SLOTS[src]]
+            pending[unknown] = contrib if combined is None else combined + contrib
+        for combined in pending.values():
+            loose = _norm(combined) > thr
+            if a.ndim > 1:
+                total = np.where(loose, np.inf, total)
+            elif loose:
+                return math.inf
+        total = total + _sq_norm(target - acc)
+    return total
+
+
 def membership(tag, p: ParamSet, tol: float = 1e-9) -> Membership:
     """Test whether p lies in the family, recovering its constants.
 
@@ -668,37 +760,45 @@ def membership(tag, p: ParamSet, tol: float = 1e-9) -> Membership:
     scale = max(param_norm(p), TOL_FLOOR)
     thr = _INDET_REL * scale
     consts = {name: _read(a, routes, thr) for name, routes in fam.routes.items()}
-
-    total = 0.0
-    feasible = True
-    for slot, terms in fam.rules.items():
-        target = a[_SLOTS[slot]]
-        acc = np.zeros_like(target)
-        pending = {}
-        for coeff, src in terms:
-            known, unknown = _coeff_parts(coeff, consts)
-            if not unknown:
-                acc = acc + known * a[_SLOTS[src]]
-                continue
-            # Terms sharing one indeterminate factor stand or fall together:
-            # c*(u - v) vanishes for every c when u == v.
-            combined = pending.get(unknown)
-            contrib = known * a[_SLOTS[src]]
-            pending[unknown] = contrib if combined is None else combined + contrib
-        for combined in pending.values():
-            if float(np.linalg.norm(combined)) > thr:
-                feasible = False
-                break
-        if not feasible:
-            break
-        total += float(np.linalg.norm(target - acc) ** 2)
-    residual = math.inf if not feasible else math.sqrt(total) / scale
+    parts = {expr: _coeff_parts(expr, consts) for expr in fam.coeffs}
+    total = _rule_total(fam.rules, a, parts, thr)
+    residual = math.sqrt(total) / scale
     return Membership(
         tag=fam.tag,
-        member=feasible and residual <= tol,
+        member=residual <= tol,
         constants=consts,
         residual=residual,
     )
+
+
+def _membership_stack(fam, a, tol):
+    """membership() on each row of a (n, 16) component array, with the bits
+    each row gets alone: (member, residual) arrays and a list of constant
+    dicts.
+
+    Coefficients are evaluated per row in Python complex arithmetic, and
+    the rule residual is taken once per group of rows whose coefficients
+    carry the same indeterminate factors."""
+    a = np.ascontiguousarray(a, dtype=complex)
+    scale = np.maximum(_norm(a), TOL_FLOOR)
+    thr = _INDET_REL * scale
+    read = {name: _read_rows(a, routes, thr)
+            for name, routes in fam.routes.items()}
+    consts = [{name: got[i] for name, got in read.items()}
+              for i in range(len(a))]
+    exprs = fam.coeffs
+    parts = [[_coeff_parts(expr, c) for expr in exprs] for c in consts]
+    groups = {}
+    for i, row in enumerate(parts):
+        groups.setdefault(tuple(sig for _, sig in row), []).append(i)
+    total = np.empty(len(a))
+    for signature, rows in groups.items():
+        known = np.array([[k for k, _ in parts[i]] for i in rows],
+                         dtype=complex).T[..., None]
+        group = dict(zip(exprs, zip(known, signature)))
+        total[rows] = _rule_total(fam.rules, a[rows], group, thr[rows])
+    residual = np.sqrt(total) / scale
+    return residual <= tol, residual, consts
 
 
 # --- the residual screen -----------------------------------------------------
@@ -956,8 +1056,9 @@ def closure_check(tag, constants=None, samples: int = 100, seed: int = 0,
     from the input constants by more than the tolerance; otherwise reports
     the worst membership residual, the constants recovered from the first
     product and the largest constant drift seen.  The pairs are drawn,
-    built and composed as one stack, in the order of a pair-by-pair loop,
-    and the products are tested one by one in that order.
+    built, composed and tested for membership as one stack, in the order
+    of a pair-by-pair loop, and the results are walked in that order: a
+    violation names the first pair that loop would fail on.
     """
     fam = descriptor(tag)
     rng = np.random.default_rng(seed)
@@ -976,15 +1077,16 @@ def closure_check(tag, constants=None, samples: int = 100, seed: int = 0,
                                      in pairs.base.items()})
                      for side in (0, 1))
 
-    for i, product in enumerate(products):
-        mb = membership(tag, ParamSet._own(product), tol)
-        if not mb.member:
-            raise ClosureViolation(fam.tag, *pair(i), mb.residual)
-        worst = max(worst, mb.residual)
+    member, residual, found = _membership_stack(fam, products, tol)
+    for i, (ok, res, got_consts) in enumerate(
+            zip(member.tolist(), residual.tolist(), found)):
+        if not ok:
+            raise ClosureViolation(fam.tag, *pair(i), res)
+        worst = max(worst, res)
         if recovered is None:
-            recovered = dict(mb.constants)
+            recovered = dict(got_consts)
         for name, given in constants.items():
-            got = mb.constants.get(name)
+            got = got_consts.get(name)
             if got is not None:
                 drift = max(drift, abs(got - given))
                 if abs(got - given) > tol * max(abs(given), 1.0):

@@ -26,9 +26,10 @@ its generator whose shape lays the values out in the order a loop of
 single draws (one random parameter set, member or variant at a time)
 would consume them, and then evaluates them as one stack.  Each sample is
 therefore the one the single-draw loop gives, bit for bit, and the report
-does not depend on the stacking.  Family closure alone tests its products
-one at a time, with the scalar membership(), so a violation names the
-first failing pair the loop would meet.
+does not depend on the stacking.  Family closure tests its products for
+membership as one stack too, each row with the bits the scalar
+membership() gives it, and walks the results in loop order, so a
+violation names the first failing pair the loop would meet.
 """
 
 from __future__ import annotations

@@ -17,7 +17,8 @@ from kmln.core import ParamSet, assemble
 from kmln.documents import format_document, parse_document
 from kmln.families import FAMILIES
 
-FIXTURE = Path(__file__).parent / "data" / "k3.json"
+DATA = Path(__file__).parent / "data"
+FIXTURE = DATA / "k3.json"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # classification of tests/data/k3.json, frozen byte for byte
@@ -265,6 +266,18 @@ class TestVerify:
                                   "--strict"])
         assert res.exit_code == 1
         assert "status=fail" in res.output
+
+    @pytest.mark.parametrize("args, name", [
+        ((), "verify_seed0.txt"),
+        (("--real",), "verify_seed0_real.txt"),
+    ])
+    def test_default_run_matches_golden(self, args, name):
+        # the full default run (100 samples per check), frozen byte for
+        # byte: it pins every family closure's worst residual
+        res = run_strict("verify", *args, "--seed", "0")
+        assert res.returncode == 0, res.stderr
+        assert res.stderr == ""
+        assert res.stdout.encode() == (DATA / name).read_bytes()
 
     def test_unknown_family_rejected(self, runner):
         res = runner.invoke(cli, ["verify", "--family", "K-99"])

@@ -348,6 +348,21 @@ class TestReality:
                      l=[0, 0, 0, 0], n=[0, 0, 0, 0])
         assert is_real_conditions(p)
 
+    @pytest.mark.parametrize("scale", [1, 1e-6, 1e-10, 1e-300])
+    def test_answer_does_not_depend_on_scale(self, scale):
+        p = random_real_params(np.random.default_rng(3))
+        off = p._array.copy()
+        off[1] += 1e-6j  # k1 must be real
+        assert is_real_conditions(ParamSet._own(p._array * scale), 1e-9)
+        assert not is_real_conditions(ParamSet._own(off * scale), 1e-9)
+        stack = np.stack([p._array, off]) * scale
+        assert is_real_conditions(stack, 1e-9).tolist() == [True, False]
+
+    def test_zero_set_is_real(self):
+        assert is_real_conditions(zero_params(), 0.0)
+        assert is_real_conditions(np.zeros((2, 16)), 0.0).tolist() == \
+            [True, True]
+
 
 class TestParamSet:
     def test_validation(self):

@@ -247,6 +247,50 @@ class TestClosure:
         finally:
             FAMILIES["K-4"] = fam
 
+    def test_drift_carries_the_pair(self, monkeypatch):
+        # with m = D*k as the only tie, a product of two members has
+        # m = D**2 * k: it is a member, but D is read off as D**2
+        fam = FAMILIES["K-3"]
+        rules = dict.fromkeys(fam.rules, ())
+        rules["m0"], rules["m"] = (("D", "k0"),), (("D", "k"),)
+        monkeypatch.setitem(FAMILIES, "K-3",
+                            dataclasses.replace(fam, rules=rules))
+        with pytest.raises(ClosureViolation) as exc:
+            closure_check("K-3", samples=10, seed=1)
+        assert exc.value.reason == "constant D drifted under composition"
+        rng = np.random.default_rng(1)
+        d = sample_constants("K-3", rng)["D"]
+        for side in (exc.value.left, exc.value.right):
+            k = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+            assert np.array_equal(side.base["k"], k)
+            assert side.constants == {"D": d}
+        product = compose(instance_params(exc.value.left),
+                          instance_params(exc.value.right))
+        got = membership("K-3", product).constants["D"]
+        assert exc.value.residual == abs(got - d)
+        assert exc.value.residual == pytest.approx(abs(d * d - d), rel=1e-12)
+
+    def test_violation_in_the_middle_of_the_stack(self):
+        # at a tol between the products' residuals, closure fails on the
+        # pair, and with the residual, that a product-by-product loop
+        # meets first
+        rng = np.random.default_rng(3)
+        pairs = sample_instance("KMN-2", rng, {}, size=(30, 2))
+        members = instance_params(pairs)
+        products = compose(members[:, 0], members[:, 1])
+        residuals = [membership("KMN-2", ParamSet._own(p)).residual
+                     for p in products]
+        tol = sorted(residuals)[20]
+        first = next(i for i, r in enumerate(residuals) if r > tol)
+        assert first > 0
+        with pytest.raises(ClosureViolation) as exc:
+            closure_check("KMN-2", samples=30, seed=3, tol=tol)
+        assert exc.value.reason == "product failed membership"
+        assert exc.value.residual == residuals[first]
+        for side, member in zip((exc.value.left, exc.value.right),
+                                members[first]):
+            assert np.array_equal(instance_params(side)._array, member)
+
     def test_m6_sign_flip_does_not_close(self):
         # the lower-left block of M-6 must be -M/A; the +M/A variant is not
         # closed under multiplication

@@ -4,7 +4,8 @@ Every function that takes leading axes must give, for each item of a
 stack, the bytes it gives for that item alone; every bulk draw must
 consume the random stream exactly as the loop of single draws it replaces.
 The single draws as they were written before stacking are kept here as the
-oracle.
+oracle, and so is membership() as it was written before closure tested its
+products as one stack.
 """
 
 import dataclasses
@@ -12,22 +13,36 @@ import dataclasses
 import numpy as np
 import pytest
 
+import math
+
 from kmln.core import (
+    TOL_FLOOR,
     ParamSet,
     assemble,
+    compose,
     disassemble,
     is_real_conditions,
     numeric_rank,
+    param_norm,
     random_params,
     random_real_params,
 )
 from kmln.families import (
+    _INDET_REL,
     _SLOTS,
     _VEC_AT,
     FAMILIES,
     FAMILY_TAGS,
+    Membership,
     _coeff_parts,
+    _membership_stack,
+    _norm,
+    _read,
+    _sq_norm,
     construct,
+    descriptor,
+    instance_params,
+    membership,
     sample_constants,
     sample_instance,
 )
@@ -284,3 +299,158 @@ class TestConstruct:
 
         with pytest.raises(ZeroConstantError):
             construct("K-7", {"A": [1, 0], "alpha": 1}, {"k": [1, 0, 0, 0]})
+
+
+# --- membership as written before closure products were tested as a stack --
+
+def loop_membership(tag, p: ParamSet, tol: float = 1e-9) -> Membership:
+    fam = descriptor(tag)
+    a = p._array
+    scale = max(param_norm(p), TOL_FLOOR)
+    thr = _INDET_REL * scale
+    consts = {name: _read(a, routes, thr) for name, routes in fam.routes.items()}
+
+    total = 0.0
+    feasible = True
+    for slot, terms in fam.rules.items():
+        target = a[_SLOTS[slot]]
+        acc = np.zeros_like(target)
+        pending = {}
+        for coeff, src in terms:
+            known, unknown = _coeff_parts(coeff, consts)
+            if not unknown:
+                acc = acc + known * a[_SLOTS[src]]
+                continue
+            # Terms sharing one indeterminate factor stand or fall together:
+            # c*(u - v) vanishes for every c when u == v.
+            combined = pending.get(unknown)
+            contrib = known * a[_SLOTS[src]]
+            pending[unknown] = contrib if combined is None else combined + contrib
+        for combined in pending.values():
+            if float(np.linalg.norm(combined)) > thr:
+                feasible = False
+                break
+        if not feasible:
+            break
+        total += float(np.linalg.norm(target - acc) ** 2)
+    residual = math.inf if not feasible else math.sqrt(total) / scale
+    return Membership(
+        tag=fam.tag,
+        member=feasible and residual <= tol,
+        constants=consts,
+        residual=residual,
+    )
+
+
+def membership_bits(member, residual, constants):
+    return (bool(member), float(residual).hex(),
+            {name: None if c is None else (c.real.hex(), c.imag.hex())
+             for name, c in constants.items()})
+
+
+def assert_membership_matches_loop(tag, stack, tol=1e-9):
+    """The stacked pass and the public membership() give every row the
+    bits the loop gives it; returns the loop's results."""
+    member, residual, constants = _membership_stack(descriptor(tag), stack,
+                                                    tol)
+    assert member.shape == residual.shape == (len(stack),)
+    assert len(constants) == len(stack)
+    want = []
+    for i, row in enumerate(stack):
+        mb = loop_membership(tag, ParamSet._own(row.copy()), tol)
+        bits = membership_bits(mb.member, mb.residual, mb.constants)
+        assert membership_bits(member[i], residual[i], constants[i]) == bits, \
+            (tag, i)
+        single = membership(tag, ParamSet._own(row.copy()), tol)
+        assert membership_bits(single.member, single.residual,
+                               single.constants) == bits, (tag, i)
+        want.append(mb)
+    return want
+
+
+def closure_products(tag, samples, seed, real=False):
+    """The products closure_check tests, drawn as it draws them."""
+    rng = np.random.default_rng(seed)
+    constants = sample_constants(tag, rng, real)
+    pairs = sample_instance(tag, rng, constants, real, size=(samples, 2))
+    members = instance_params(pairs)
+    return compose(members[:, 0], members[:, 1])
+
+
+def signatures(tag, results):
+    """The distinct indeterminate-factor patterns of the rows' coefficients."""
+    fam = FAMILIES[tag]
+    return {tuple(_coeff_parts(expr, mb.constants)[1] for expr in fam.coeffs)
+            for mb in results}
+
+
+class TestMembership:
+    @pytest.mark.parametrize("real", [False, True])
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_closure_products_match_loop(self, tag, real):
+        results = assert_membership_matches_loop(
+            tag, closure_products(tag, 40, 23, real))
+        assert all(mb.member for mb in results)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_mixed_stack_matches_loop(self, tag):
+        # generic rows, members at several scales, the zero set, members
+        # with one base zeroed (indeterminate constants) and members whose
+        # tied vectors are shrunk until a constant read from them is too
+        # small to invert, all in one stack
+        fam = FAMILIES[tag]
+        rng = np.random.default_rng(24)
+        rows = [random_params(rng)._array, np.zeros(16, dtype=complex)]
+        for j in range(6):
+            inst = sample_instance(tag, rng)
+            a = instance_params(inst)._array
+            rows.append(a * 10.0 ** (40 * j - 100))
+            base = dict(inst.base, **{fam.bases[j % len(fam.bases)]:
+                                      np.zeros(4, dtype=complex)})
+            rows.append(construct(tag, inst.constants, base)._array)
+            tied = a.copy()
+            for v in "kmln":
+                if v not in fam.bases:
+                    tied[_VEC_AT[v]] *= 1e-15
+            rows.append(tied)
+            rows.append(random_params(rng)._array)
+        results = assert_membership_matches_loop(tag, np.array(rows))
+        if fam.constants:
+            assert any(c is None for mb in results
+                       for c in mb.constants.values())
+        if tag in ("K-6", "K-7", "M-5", "M-6", "KM-3", "LN-1", "LN-2"):
+            assert any(c is not None and 0 < abs(c) <= TOL_FLOOR
+                       for mb in results for c in mb.constants.values())
+            assert len(signatures(tag, results)) > 2
+
+    def test_rule_swapped_family_matches_loop(self, monkeypatch):
+        fam = FAMILIES["K-4"]
+        rules = dict(fam.rules, n0=(("2*A", "k0"),), n=(("2*A", "k"),),
+                     m0=(("1/A", "k0"),), m=(("1/A", "k"),))
+        monkeypatch.setitem(FAMILIES, "K-4",
+                            dataclasses.replace(fam, rules=rules))
+        rng = np.random.default_rng(25)
+        members = instance_params(sample_instance("K-4", rng, size=N))
+        stack = np.concatenate([members, random_params(rng, N),
+                                closure_products("K-4", N, 26)])
+        results = assert_membership_matches_loop("K-4", stack)
+        assert all(mb.member for mb in results[:N])
+        assert not any(mb.member for mb in results[N:2 * N])
+
+    @pytest.mark.parametrize("width", [1, 3, 4, 12, 16])
+    def test_norms_match_numpy(self, width):
+        # the residual's building blocks, row by row: np.linalg.norm and
+        # its square as numpy takes it on a float64 (by pow, which differs
+        # from x*x in about one case in a thousand)
+        rng = np.random.default_rng(27)
+        z = (rng.standard_normal((2000, width))
+             + 1j * rng.standard_normal((2000, width))) \
+            * 10.0 ** rng.uniform(-8, 8, (2000, 1))
+        assert same_bits(_norm(z), [np.linalg.norm(r) for r in z])
+        assert same_bits(_sq_norm(z), [np.linalg.norm(r) ** 2 for r in z])
+
+    def test_empty_stack(self):
+        member, residual, constants = _membership_stack(
+            FAMILIES["K-5"], np.zeros((0, 16), dtype=complex), 1e-9)
+        assert member.shape == residual.shape == (0,) and constants == []
