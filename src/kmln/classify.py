@@ -7,17 +7,10 @@ A matrix can belong to several families at once; the zero matrix belongs to
 all of them.  Memberships are sorted by residual, with the catalog order
 breaking ties, so the best explanation comes first.
 
-Before any membership test, one batched pass (families.candidate_tags)
-bounds every family's residual from below, and membership() runs only for
-the families the bound does not exclude.  The bound treats each
-coefficient that holds a constant as a free complex scalar for its rule
-slot alone; the constants membership() estimates (an indeterminate one
-counting as 0) are one choice of those scalars, so the residual it
-computes can never be smaller than the bound.  A family is skipped only
-when the bound exceeds 2*tol plus a 1e-12 slack, so every family the
-report lists went through the same membership() call as before, with the
-same constants and residual digits.  On generic input the bound excludes
-all 39 families.
+Every family is tested in one pass of the compiled membership kernel
+(families._memberships), which gives each family the constants, residual
+and member flag membership() gives it; families that are not members cost
+the same as the ones that are.
 
 A matrix whose largest real or imaginary part is at least 1 is first
 divided by that part's power of two, which changes only exponents, so no
@@ -35,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kmln.core import disassemble, numeric_rank
-from kmln.families import _TAG_ORDER, candidate_tags, membership
+from kmln.families import _TAG_ORDER, FAMILY_TAGS, Membership, _memberships
 from kmln.variants import matching_variants
 
 __all__ = ["ClassReport", "classify"]
@@ -92,11 +85,11 @@ def classify(g, tol: float = 1e-9) -> ClassReport:
         scale = math.inf
     p = disassemble(g)
 
-    memberships = []
-    for tag in candidate_tags(p, tol):
-        mb = membership(tag, p, tol)
-        if mb.member:
-            memberships.append(mb)
+    got = _memberships(p._array, FAMILY_TAGS, tol)
+    found = got.member[0].nonzero()[0].tolist()
+    memberships = list(map(Membership, map(FAMILY_TAGS.__getitem__, found),
+                           [True] * len(found), got.constants(0, found),
+                           got.residual[0, found].tolist()))
     memberships.sort(key=lambda mb: (mb.residual, _TAG_ORDER[mb.tag]))
 
     return ClassReport(

@@ -20,7 +20,8 @@ The rules are the whole entry: how each constant is recovered from a
 parameter set is derived from them (``Family.routes``).  Each term is
 parsed once into a known part and the constants it carries.  A constant
 c with a slot of the form target = base + c*u + v/c (NLK-1, NLM-1) is
-solved for c and 1/c jointly over those slots.  Any other c is read by
+solved for c and 1/c jointly over those slots, by a closed-form
+two-column least squares.  Any other c is read by
 least squares: the target vectors are walked in block order k, n, l, m
 (the layout [[K, N], [L, M]]); in each, the slots whose terms all carry
 exactly c form one direct candidate (target ~ c*w) and those whose terms
@@ -29,6 +30,12 @@ each kind stacks the r-th candidate over each set of source vectors, so
 candidates over distinct sources are read together and a later one over
 the same sources is a fallback; direct routes come first, and the first
 route whose sources do not vanish decides.
+
+Membership is one kernel: the rules are compiled into gathers of linear
+forms of the (16,) coordinates, and one pass over an (N, 16) stack reads
+every constant and sums every rule residual for every row and family.
+membership(), classify() and closure_check() all call it, and each row
+gets the bits it gets alone.
 
 One catalog entry deserves a note: the two-constant family M-6 is stored
 here in the form forced by the multiplication law (the mirror image of
@@ -45,6 +52,7 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
+from types import SimpleNamespace
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -58,7 +66,6 @@ from kmln.core import (
     assemble,
     compose,
     numeric_rank,
-    param_norm,
 )
 
 __all__ = [
@@ -77,7 +84,6 @@ __all__ = [
     "descriptor",
     "construct",
     "membership",
-    "candidate_tags",
     "sample_constants",
     "sample_instance",
     "instance_params",
@@ -597,153 +603,295 @@ def _combine(a, terms):
     return acc
 
 
-def _read(a, routes, thr):
-    """A constant read along its routes; the first route whose source part
-    has norm above thr decides, and None means every route is degenerate."""
-    for power, pieces in routes:
-        if power == 0:
-            return _split_solve(a, pieces, thr)
-        w = np.concatenate([_combine(a, terms) for _, terms in pieces])
-        y = np.concatenate([a[_SLOTS[target]] for target, _ in pieces])
-        denom = float(np.real(np.vdot(w, w)))
-        if math.sqrt(denom) <= thr:
-            continue
-        x = complex(np.vdot(w, y) / denom)
-        if power == 1:
-            return x
-        return None if abs(x) <= TOL_FLOOR else 1 / x
-    return None
+# --- the membership kernel ---------------------------------------------------
+
+# None, in the kernel's tables
+_NONE = complex(math.nan, math.nan)
+# Rows with a part this large are divided by its power of two first: below
+# it the largest coefficient a read can give (about 1e26) times a part,
+# squared, stays inside the float range.
+_HUGE = 2.0 ** 400
 
 
-def _read_rows(a, routes, thr):
-    """_read on each row of a (n, 16) stack, as a list, with the same bits:
-    np.vecdot takes the same conjugated dot per row as np.vdot, and only
-    the rows a route decides are divided."""
-    got = [None] * len(a)
-    rows = np.arange(len(a))
-    for power, pieces in routes:
-        if power == 0:
-            for i in rows.tolist():
-                got[i] = _split_solve(a[i], pieces, thr[i])
-            break
-        sub = a[rows]
-        w = np.concatenate([_combine(sub, terms) for _, terms in pieces], -1)
-        y = np.concatenate([sub[:, _SLOTS[target]] for target, _ in pieces],
-                           -1)
-        denom = np.vecdot(w, w).real
-        ok = np.sqrt(denom) > thr[rows]
-        x = np.vecdot(w[ok], y[ok]) / denom[ok]
-        for i, xi in zip(rows[ok].tolist(), x.tolist()):
-            got[i] = xi if power == 1 else (
-                None if abs(xi) <= TOL_FLOOR else 1 / xi)
-        rows = rows[~ok]
-    return got
+def _spread(slot, *roles):
+    """Each lane of a slot as each role's terms (known, component), from
+    terms (known, source slot)."""
+    return [[[(k, _SLOTS[s].start + i) for k, s in terms] for terms in roles]
+            for i in range(_SLOTS[slot].stop - _SLOTS[slot].start)]
 
 
-@functools.cache
-def _split_plan(pieces):
-    """Gathers for the split solve from the float view of a component
-    array: the target indices, then the real known parts and indices of
-    the base, direct and inverse terms, each stacked over the pieces."""
-    def at(slot):
-        return np.arange(2 * _SLOTS[slot].start, 2 * _SLOTS[slot].stop)
+def _lanes(slot):
+    """A slot's components, padded to three with the zero column 16."""
+    return [*range(_SLOTS[slot].start, _SLOTS[slot].stop), 16, 16][:3]
 
-    plan = [np.concatenate([at(target) for target, *_ in pieces])]
-    for terms in list(zip(*pieces))[1:]:
-        plan.append(np.concatenate([np.full(len(at(src)), known.real)
-                                    for known, src in terms]))
-        plan.append(np.concatenate([at(src) for _, src in terms]))
-    for arr in plan:
-        arr.setflags(write=False)
+
+def _padded(rows, fill):
+    """Lists of ints as one array, each padded to the longest."""
+    size = max(map(len, rows), default=0) or 1
+    return np.array([[*r] + [fill] * (size - len(r)) for r in rows],
+                    dtype=int).reshape(len(rows), size)
+
+
+def _compile(fams) -> SimpleNamespace:
+    """The rules of some families compiled into gathers over a component
+    array extended by a zero column (16), which pads every gather.
+
+    ``table``: every family's constants (``names``: each one's names and
+    first column), then the literals.  Route lanes lie along one axis in
+    ``groups`` of one length, a route shorter than 4 padded to 4 (a BLAS
+    dot of fewer than 8 lanes adds zero lanes exactly); lane e of row 0
+    (w) sums coeff[:, 0, e] * x[at[:, 0, e]], row 1 is the target (y).
+    A route decides where |w| > thr and reads y.w / w.w, or its inverse
+    from route ``inverse`` on; ``tried``: each table column's routes in
+    order.  A split solve lays out routes u;v, u;y, u;y and v;y, and
+    _split_reads replaces the reads of the last three (``split``: their
+    count, first route and first u;y lane).  Coefficient e is sign[e]
+    times, or over (``divides``), the table columns factor[:, e]; an
+    unknown factor adds code[:, e] to its key.  Slot s has targets
+    target[s] and terms (expr, src); family f sums slots[:, f].
+    """
+    names, col = [], {}
+    for f, fam in enumerate(fams):
+        names.append((fam.constants, len(col)))
+        col.update({(f, c): len(col) + i for i, c in enumerate(fam.constants)})
+
+    # routes as (sort key, lanes), a lane as its (w terms, y terms): the
+    # longest direct routes first, each kind of split route in a block, the
+    # v;y block opening the inverted ones
+    routes, tried, splits = [((False, -4, 0), [])], [], 0
+    for got in (got for fam in fams for got in fam.routes.values()):
+        tried.append([])
+        for power, pieces in got:
+            if power:
+                lanes = sum((_spread(t, ts, [(1, t)]) for t, ts in pieces), [])
+                tried[-1].append(len(routes))
+                routes.append(((power < 0, -max(4, len(lanes)), 1), lanes))
+                continue
+            lanes = sum((_spread(t, [d], [i], [(1, t), (-b[0], b[1])])
+                         for t, b, d, i in pieces), [])
+            if len(lanes) > 4:
+                raise ValueError("a split solve reads at most 4 lanes")
+            u, v, y = zip(*lanes + [([], [], [])] * (4 - len(lanes)))
+            tried[-1] += [len(routes) + 2, len(routes) + 3, len(routes) + 1]
+            routes += [((False, -4, 2), [*zip(u, v)]),
+                       ((False, -4, 3), [*zip(u, y)]),
+                       ((False, -4, 4), [*zip(u, y)]),
+                       ((True, -99, 0), [*zip(v, y)])]
+            splits += 1
+    order = sorted(range(len(routes)), key=lambda r: routes[r][0])
+    rank = {r: k for k, r in enumerate(order)}
+    lanes, groups, start = [], [], []
+    for r in order:
+        size = max(4, len(routes[r][1]))
+        if not groups or groups[-1][2] != size:
+            groups.append([len(lanes), len(lanes), size])
+        start.append(len(lanes))
+        lanes += routes[r][1] + [([], [])] * (size - len(routes[r][1]))
+        groups[-1][1] = len(lanes)
+    size = max(len(t) for lane in lanes for t in lane)
+    lanes = np.array([[t + [(0, 16)] * (size - len(t)) for t in lane]
+                      for lane in lanes], dtype=complex)
+    lanes = lanes.reshape(len(lanes), 2, size, 2)
+    at, coeff = lanes[..., 1].real.astype(int).T, lanes[..., 0].T
+    head = min([rank[r] for r in rank if routes[r][0][2] == 2] or [0])
+
+    # coefficient 0 is the zero of padded terms
+    literals, exprs, index = {1 + 0j: 0}, [(0j, [])], {}
+    for f, fam in enumerate(fams):
+        places = {}
+        for expr in fam.coeffs:
+            sign, factors = _parse_coeff(expr)
+            index[f, expr] = len(exprs)
+            exprs.append((sign, [
+                (col[f, token] if literal is None else
+                 len(col) + literals.setdefault(literal, len(literals)),
+                 divides, places.setdefault((token, divides), len(places)))
+                for divides, token, literal in factors]))
+    width = max(1, *(len(steps) for _, steps in exprs))
+    steps = np.array([s + [(len(col), False, -1)] * (width - len(s))
+                      for _, s in exprs], dtype=int).reshape(-1, width, 3).T
+
+    slots, members = [], []
+    for f, fam in enumerate(fams):
+        members.append(range(len(slots), len(slots) + len(fam.rules)))
+        slots += [(_lanes(s), [(index[f, c], _lanes(src)) for c, src in ts])
+                  for s, ts in fam.rules.items()]
+    slots.append(([16] * 3, []))
+    size = max(len(ts) for _, ts in slots) or 1
+    slots = [(t, ts + [(0, [16] * 3)] * (size - len(ts))) for t, ts in slots]
+
+    plan = SimpleNamespace(
+        families=tuple(fams), names=tuple(names),
+        table=np.array([[_NONE] * len(col) + list(literals)]),
+        at=at, coeff=coeff, groups=tuple(map(tuple, groups)),
+        inverse=sum(not routes[r][0][0] for r in order),
+        tried=_padded([[rank[r] for r in rs] for rs in tried]
+                      + [[]] * len(literals), rank[0]).T.copy(),
+        split=(splits, head, start[head + 2 * splits] if splits else 0),
+        sign=np.array([sign for sign, _ in exprs], dtype=object),
+        factor=steps[0], divides=steps[1].astype(bool),
+        code=np.where(steps[2] < 0, 0, (1 + width) ** np.maximum(steps[2], 0)),
+        target=np.array([t for t, _ in slots]),
+        expr=np.array([[e for e, _ in ts] for _, ts in slots]),
+        src=np.array([[s for _, s in ts] for _, ts in slots]),
+        slots=_padded(members, len(slots) - 1).T.copy())
+    for arr in vars(plan).values():
+        if isinstance(arr, np.ndarray):
+            arr.setflags(write=False)
     return plan
 
 
-def _split_solve(a, pieces, thr):
-    """c from target - base = c*u + (1/c)*v, solving for (c, 1/c) jointly
-    and falling back to whichever column is non-degenerate.
-
-    The terms are scaled on the float view: complex products would turn the
-    -0 of -a[source] into +0, and the sign of a zero steers LAPACK's
-    Householder reflections."""
-    at, kb, base, ku, direct, kv, inverse = _split_plan(pieces)
-    x = a.view(float)
-    y = (x[at] - kb * x[base]).view(complex)
-    u = (ku * x[direct]).view(complex)
-    v = (kv * x[inverse]).view(complex)
-    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
-    if nu <= thr and nv <= thr:
-        return None
-    design = np.column_stack([u, v])
-    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-    x1, x2 = complex(sol[0]), complex(sol[1])
-    if nu > thr and abs(x1) > TOL_FLOOR:
-        return x1
-    if nv > thr and abs(x2) > TOL_FLOOR:
-        return 1 / x2
-    if nu > thr:
-        return x1
-    return None
+# compiled per tuple of tags on first use, and again whenever one of their
+# FAMILIES entries is replaced
+_plans = {}
 
 
-# --- the rule residual -------------------------------------------------------
+def _plan(tags) -> SimpleNamespace:
+    fams = tuple(map(FAMILIES.__getitem__, tags))
+    plan = _plans.get(tags)
+    if plan is None or plan.families != fams:
+        plan = _plans[tags] = _compile(fams)
+    return plan
 
 
-def _row_dot(u):
-    """u . u for each row of a real (n, L) array, as np.dot takes it alone:
-    np.linalg.norm dots the strided real and imaginary views of a vector,
-    and one stacked product per row on the same views rounds the same way
-    (dots of contiguous copies, einsum or sum do not)."""
-    return np.matmul(u[:, None, :], u[:, :, None])[:, 0, 0]
+def _lengths(z):
+    """np.linalg.norm over the last axis of a complex array, with its bits:
+    numpy's norm dots the strided real and imaginary views of a vector with
+    BLAS, and np.vecdot on the same views calls the same dot."""
+    parts = np.ascontiguousarray(z).view(float)
+    parts = parts.reshape(z.shape + (2,)).swapaxes(-1, -2)
+    return np.sqrt(np.vecdot(parts, parts).sum(-1))
 
 
-def _norm(z):
-    """np.linalg.norm of a vector as a float, or of each row of a (n, L)
-    stack as an array with the same bits."""
-    if z.ndim == 1:
-        return float(np.linalg.norm(z))
-    return np.sqrt(_row_dot(z.real) + _row_dot(z.imag))
+def _split_reads(plan, wy, den, num, ok, val):
+    """Give each split solve's u;y, second u;y and v;y routes the reads c,
+    c and 1/c' of target - base = c*u + c'*v by least squares: u projected
+    out of v and y (Gram-Schmidt), whose error grows with the condition of
+    [u, v], not its square; where lstsq's cut-off deems [u, v] of rank
+    one, the minimum-norm solution [u.y, v.y] / (|u|^2 + |v|^2).  The
+    first two decide only where c, or c', is not tiny; the second u;y
+    reads c wherever u is non-degenerate."""
+    count, r, e = plan.split
+    n = len(wy)
+    uu, _, _, vv = den[:, r:r + 4 * count].reshape(n, 4, count).swapaxes(0, 1)
+    dots = num[:, r:r + 4 * count].reshape(n, 4, count)
+    along = dots[:, :2] / np.where(uu > 0, uu, 1.0)[:, None]
+    rest = wy[:, :, e + 4 * count:e + 8 * count].reshape(n, 2, count, 4) \
+        - along[..., None] * wy[:, :1, e:e + 4 * count].reshape(n, 1, count, 4)
+    rest = np.vecdot(rest[:, :1], rest)
+    both = uu + vv
+    full = np.sqrt(uu) * np.sqrt(rest[:, 0].real) \
+        > 4 * np.finfo(float).eps * both
+    inv = rest[:, 1] / np.where(full, rest[:, 0].real, 1.0)
+    x = np.where(full[:, None], np.stack([along[:, 1] - along[:, 0] * inv,
+                                          inv], 1),
+                 dots[:, 2:] / np.where(both > 0, both, 1.0)[:, None])
+    ok[:, r + 2 * count:r + 4 * count].reshape(n, 2, count)[...] &= \
+        np.abs(x) > TOL_FLOOR
+    val[:, r + count:r + 4 * count] = x[:, [0, 0, 1]].reshape(n, 3 * count)
 
 
-def _sq_norm(z):
-    """_norm(z) squared the way numpy squares a float64 scalar: by pow,
-    which float_power takes on a stack and x*x does not always match."""
-    if z.ndim == 1:
-        return float(np.linalg.norm(z) ** 2)
-    return np.float_power(_norm(z), 2)
+def _read_constants(plan, xe, thr):
+    """The table on each row: every constant as membership() reports it
+    (NaN for None), then the literals.  Dots are taken with np.vecdot,
+    which takes the dot np.vdot takes on each route alone."""
+    n = len(xe)
+    # a sum over a middle axis adds its slices in order
+    wy = (plan.coeff * xe.take(plan.at, axis=1)).sum(1)
+    den, num = np.concatenate([
+        np.vecdot(group[:, :1], group) for group in (
+            wy[:, :, lo:hi].reshape(n, 2, (hi - lo) // length, length)
+            for lo, hi, length in plan.groups)], 2).swapaxes(0, 1)
+    den = den.real
+    ok = np.sqrt(den) > thr[:, None]
+    val = num / np.where(ok, den, 1.0)
+    if plan.split[0]:
+        _split_reads(plan, wy, den, num, ok, val)
+    inv = val[:, plan.inverse:]
+    tiny = np.abs(inv) <= TOL_FLOOR
+    # Python's own 1 / x, on Python complex numbers
+    inv[...] = np.where(tiny, _NONE, (1 / np.where(tiny, 1, inv).astype(
+        object)).astype(complex))
+    ok, val = ok.take(plan.tried, axis=1), val.take(plan.tried, axis=1)
+    table = plan.table.repeat(n, 0)
+    for r in range(len(plan.tried) - 1, -1, -1):
+        table = np.where(ok[:, r], val[:, r], table)
+    return table
 
 
-def _rule_total(rules, a, parts, thr):
-    """Squared rule residual of a (16,) set, summed over the slots in rule
-    order, or of each row of a (n, 16) stack as an array; inf where the
-    terms sharing one indeterminate factor do not vanish.
+def _coefficients(plan, table):
+    """Each coefficient's known part on each row as _coeff_parts gives it,
+    in Python's complex arithmetic (numpy's product fuses its multiply-adds
+    and its quotient rounds differently), and its key: factors that are
+    None, and divisors too small to invert, stay unknown."""
+    f = table.take(plan.factor, axis=1)
+    skip = np.isnan(f) | (plan.divides & (np.abs(f) <= TOL_FLOOR))
+    f = np.where(skip, 1, f)
+    # a product by 1 and a quotient by 1 keep every value but the sign of a
+    # zero, which no norm sees
+    mul = np.where(plan.divides, 1, f).astype(object)
+    div = np.where(plan.divides, f, 1).astype(object)
+    known = plan.sign
+    for j in range(len(plan.factor)):
+        known = known * mul[:, j] / div[:, j]
+    return known.astype(complex), (skip * plan.code).sum(1)
 
-    ``parts`` maps each coefficient to its (known part, signature) as
-    _coeff_parts gives them; on a stack the rows share every signature and
-    each known part is a (n, 1) column, one value per row.  A single set
-    stops at its first infeasible slot."""
-    total = 0.0
-    for slot, terms in rules.items():
-        target = a[..., _SLOTS[slot]]
-        acc = np.zeros_like(target)
-        pending = {}
-        for coeff, src in terms:
-            known, unknown = parts[coeff]
-            if not unknown:
-                acc = acc + known * a[..., _SLOTS[src]]
-                continue
-            # Terms sharing one indeterminate factor stand or fall together:
-            # c*(u - v) vanishes for every c when u == v.
-            combined = pending.get(unknown)
-            contrib = known * a[..., _SLOTS[src]]
-            pending[unknown] = contrib if combined is None else combined + contrib
-        for combined in pending.values():
-            loose = _norm(combined) > thr
-            if a.ndim > 1:
-                total = np.where(loose, np.inf, total)
-            elif loose:
-                return math.inf
-        total = total + _sq_norm(target - acc)
+
+def _residuals(plan, xe, known, key, thr):
+    """Each family's squared rule residual on each row, summed over its
+    slots in rule order, with inf where terms sharing one unknown factor
+    do not vanish together (c*(u - v) vanishes for every c when u == v)."""
+    src = xe.take(plan.src, axis=1)
+    unknown = key.any()
+    acc = ((np.where(key == 0, known, 0) if unknown else known).take(
+        plan.expr, axis=1)[..., None] * src).sum(2)
+    sq = np.float_power(_lengths(xe.take(plan.target, axis=1) - acc), 2)
+    total = sq.take(plan.slots, axis=1).sum(1)
+    if unknown:
+        # the terms of each slot grouped by their keys
+        keys = key.take(plan.expr, axis=1)
+        pending = np.where((keys[..., None] == keys[..., None, :])[..., None],
+                           (known.take(plan.expr, axis=1)[..., None]
+                            * src)[:, :, None], 0).sum(3)
+        loose = ((keys != 0) & (_lengths(pending) > thr[:, None, None])).any(2)
+        total[loose.take(plan.slots, axis=1).any(1)] = np.inf
     return total
+
+
+class _Memberships(NamedTuple):
+    """Member flags and residuals (rows, families), and the constants."""
+
+    member: np.ndarray
+    residual: np.ndarray
+    table: np.ndarray
+    names: tuple
+
+    def constants(self, row, families):
+        """Row ``row``'s constants in each of the families, as dicts."""
+        values = self.table[row].tolist()
+        return [{name: None if c != c else c
+                 for name, c in zip(names, values[lo:lo + len(names)])}
+                for names, lo in map(self.names.__getitem__, families)]
+
+
+def _memberships(a, tags, tol) -> _Memberships:
+    """membership() of each row of a (N, 16) component array in each family
+    of ``tags``, in one pass, every row with the bits it gets alone; the
+    rows at _HUGE are taken divided by a power of two (exact), the others
+    as they are (pow's last bit depends on the exponent)."""
+    plan = _plan(tuple(tags))
+    a = np.ascontiguousarray(a, dtype=complex).reshape(-1, 16)
+    if np.abs(a.view(float)).max(initial=0.0) >= _HUGE:
+        top = np.abs(a.view(float)).max(-1)
+        shift = np.where(top >= _HUGE, -np.frexp(top)[1], 0)
+        a = np.ldexp(a.view(float), shift[:, None]).view(complex)
+    xe = np.concatenate([a, np.zeros((len(a), 1), dtype=complex)], 1)
+    scale = np.maximum(_lengths(a), TOL_FLOOR)
+    thr = _INDET_REL * scale
+    table = _read_constants(plan, xe, thr)
+    known, key = _coefficients(plan, table)
+    residual = np.sqrt(_residuals(plan, xe, known, key, thr)) / scale[:, None]
+    return _Memberships(residual <= tol, residual, table, plan.names)
 
 
 def membership(tag, p: ParamSet, tol: float = 1e-9) -> Membership:
@@ -756,209 +904,13 @@ def membership(tag, p: ParamSet, tol: float = 1e-9) -> Membership:
     (indeterminate).
     """
     fam = descriptor(tag)
-    a = p._array
-    scale = max(param_norm(p), TOL_FLOOR)
-    thr = _INDET_REL * scale
-    consts = {name: _read(a, routes, thr) for name, routes in fam.routes.items()}
-    parts = {expr: _coeff_parts(expr, consts) for expr in fam.coeffs}
-    total = _rule_total(fam.rules, a, parts, thr)
-    residual = math.sqrt(total) / scale
-    return Membership(
-        tag=fam.tag,
-        member=residual <= tol,
-        constants=consts,
-        residual=residual,
-    )
-
-
-def _membership_stack(fam, a, tol):
-    """membership() on each row of a (n, 16) component array, with the bits
-    each row gets alone: (member, residual) arrays and a list of constant
-    dicts.
-
-    Coefficients are evaluated per row in Python complex arithmetic, and
-    the rule residual is taken once per group of rows whose coefficients
-    carry the same indeterminate factors."""
-    a = np.ascontiguousarray(a, dtype=complex)
-    scale = np.maximum(_norm(a), TOL_FLOOR)
-    thr = _INDET_REL * scale
-    read = {name: _read_rows(a, routes, thr)
-            for name, routes in fam.routes.items()}
-    consts = [{name: got[i] for name, got in read.items()}
-              for i in range(len(a))]
-    exprs = fam.coeffs
-    parts = [[_coeff_parts(expr, c) for expr in exprs] for c in consts]
-    groups = {}
-    for i, row in enumerate(parts):
-        groups.setdefault(tuple(sig for _, sig in row), []).append(i)
-    total = np.empty(len(a))
-    for signature, rows in groups.items():
-        known = np.array([[k for k, _ in parts[i]] for i in rows],
-                         dtype=complex).T[..., None]
-        group = dict(zip(exprs, zip(known, signature)))
-        total[rows] = _rule_total(fam.rules, a[rows], group, thr[rows])
-    residual = np.sqrt(total) / scale
-    return residual <= tol, residual, consts
-
-
-# --- the residual screen -----------------------------------------------------
-
-# A family is screened out only when its residual bound exceeds 2*tol plus
-# this absolute slack (both relative to the parameter norm).  The slack
-# absorbs the rounding of the bound and of the residual membership()
-# computes; on members of all 39 families, NLK-1 and NLM-1 members with
-# nearly parallel columns among them, the bound came out at most 3.5e-15
-# above that residual.
-_SCREEN_SLACK = 1e-12
-# Two free columns u, v count as parallel, and their slot bound as 0, when
-# |u x v|^2 <= _SCREEN_PARALLEL * |u|^2 |v|^2.  The rounding error of the
-# two-column bound is about 3.5 eps |y| |u| |v| / |u x v|, so at this cut
-# it stays below 1e-13 of the parameter norm, well inside the slack.
-_SCREEN_PARALLEL = 1e-4
-# Squared norms at most this, on the rescaled array, may carry subnormal
-# rounding: a one-column bound divides by _SCREEN_TINY instead, which only
-# lowers it, and a two-column slot with |u x v|^2 this small bounds nothing.
-_SCREEN_TINY = 1e-280
-# Lanes rotated forward and back: lane i of a x b is
-# a[_NEXT[i]] b[_PREV[i]] - a[_PREV[i]] b[_NEXT[i]].
-_NEXT, _PREV = (1, 2, 0), (2, 0, 1)
-
-
-class _Screen(NamedTuple):
-    """The catalog's rules compiled into one gather table of linear forms.
-
-    The catalog needs only a few dozen distinct linear forms of the
-    component array x: form j is sum(coeff[:, j] * x[at[:, j]]).  ``rows``
-    picks the forms into these blocks, in order:
-
-    * ``n_plain`` lanes of targets y of slots without a free column;
-    * for the ``n_one`` one-column vector slots (pairs y, u) followed by
-      the ``n_two`` two-column ones (pairs u, v): the first member of each
-      pair with its lanes rotated forward, then back, and the second member
-      likewise, each block lane-major (3, pairs);
-    * the targets y of the two-column slots, lane-major (3, n_two).
-
-    ``family`` holds the index, into ``tags``, of each plain lane, then of
-    each one-column slot, then of each two-column slot.  A scalar slot with
-    a free column, or a slot with more than two, bounds nothing.
-    """
-
-    families: tuple
-    tags: tuple
-    at: np.ndarray
-    coeff: np.ndarray
-    rows: np.ndarray
-    n_plain: int
-    n_one: int
-    n_two: int
-    family: np.ndarray
-
-
-def _compile_screen(catalog) -> _Screen:
-    plain, ones, twos = [], [], []
-    for f, fam in enumerate(catalog.values()):
-        # a slot's terms grouped by the constants they carry: A*k - A*m is
-        # one column k - m
-        for slot, terms in fam.parsed.items():
-            y, columns = [(1, slot)], {}
-            for known, signature, src in terms:
-                if signature:
-                    columns.setdefault(signature, []).append((known, src))
-                else:
-                    y.append((-known, src))
-            columns = list(columns.values())
-            width = _SLOTS[slot].stop - _SLOTS[slot].start
-            if not columns:
-                plain += [(f, y, lane) for lane in range(width)]
-            elif width == 3 and len(columns) == 1:
-                ones.append((f, y, columns[0]))
-            elif width == 3 and len(columns) == 2:
-                twos.append((f, y, *columns))
-
-    def form(terms, lane):
-        return tuple((_SLOTS[src].start + lane, complex(c))
-                     for c, src in terms)
-
-    forms = [form(y, lane) for _, y, lane in plain]
-    pairs = [(y, u) for _, y, u in ones] + [(u, v) for _, _, u, v in twos]
-    for member, lanes in ((0, _NEXT), (0, _PREV), (1, _NEXT), (1, _PREV)):
-        forms += [form(pair[member], lane) for lane in lanes for pair in pairs]
-    forms += [form(y, lane) for lane in range(3) for _, y, _, _ in twos]
-
-    distinct = list(dict.fromkeys(forms))
-    # term-major, so the sum adds whole rows; padding terms read component
-    # 0 with coefficient 0
-    at = np.zeros((max(map(len, distinct)), len(distinct)), dtype=int)
-    coeff = np.zeros(at.shape, dtype=complex)
-    for j, terms in enumerate(distinct):
-        for t, (index, c) in enumerate(terms):
-            at[t, j], coeff[t, j] = index, c
-    position = {terms: j for j, terms in enumerate(distinct)}
-    rows = np.array([position[terms] for terms in forms])
-    family = np.array([f for f, *_ in plain + ones + twos], dtype=int)
-    for arr in (at, coeff, rows, family):
-        arr.setflags(write=False)
-    return _Screen(tuple(catalog.values()), tuple(catalog), at, coeff, rows,
-                   len(plain), len(ones), len(twos), family)
-
-
-# compiled on first use, and again whenever a FAMILIES entry is replaced
-_screen = None
+    got = _memberships(p._array, (fam.tag,), tol)
+    return Membership(fam.tag, bool(got.member[0, 0]),
+                      got.constants(0, [0])[0], float(got.residual[0, 0]))
 
 
 def _sq(z):
     return z.real ** 2 + z.imag ** 2
-
-
-def candidate_tags(p: ParamSet, tol: float = 1e-9) -> tuple:
-    """Tags, in catalog order, of the families p may belong to at tol.
-
-    Computes a lower bound on every family's membership residual in one
-    batched pass: each coefficient that holds a constant becomes a free
-    complex scalar for its rule slot alone, so the rule residual at any
-    constants -- the ones membership() estimates included -- is at least
-    the slot's least-squares residual over those scalars.  A family is left
-    out only when its bound exceeds 2*tol plus a small absolute slack, so
-    membership(tag, p, tol).member is False for every tag left out.  The
-    bound runs on the component array divided by the power of two of its
-    largest real or imaginary part, so it cannot overflow.  A parameter set
-    whose parts all lie below TOL_FLOOR (the zero set among them) keeps
-    every tag: membership() measures its residual against that floor.
-    """
-    global _screen
-    if _screen is None or _screen.families != tuple(FAMILIES.values()):
-        _screen = _compile_screen(FAMILIES)
-    scr = _screen
-    a = p._array
-    top = float(np.abs(a.view(float)).max())
-    if top < TOL_FLOOR:
-        return scr.tags
-    # exact: a power of two changes exponents only, and top >= TOL_FLOOR
-    # keeps the factor finite
-    x = a * 2.0 ** -math.frexp(top)[1]
-
-    lin = (scr.coeff * x[scr.at]).sum(0)[scr.rows]
-    sq = _sq(lin)
-    r0, n1 = scr.n_plain, scr.n_one
-    r1 = r0 + 12 * (n1 + scr.n_two)
-    a_next, a_prev, b_next, b_prev = lin[r0:r1].reshape(4, 3, -1)
-    aa, _, bb, _ = sq[r0:r1].reshape(4, 3, -1).sum(1)
-    cross = a_next * b_prev - a_prev * b_next
-    cc = _sq(cross).sum(0)
-    # one column u: min over c of |y - c u|^2 = |y x u|^2 / |u|^2 (the
-    # Lagrange identity, free of cancellation); |y|^2 when u is zero
-    one = np.where(b_next[:, :n1].any(0),
-                   cc[:n1] / np.maximum(bb[:n1], _SCREEN_TINY), aa[:n1])
-    # two columns u, v: the distance from y to span(u, v) is
-    # |det[u, v, y]| / |u x v|
-    det = (lin[r1:].reshape(3, -1) * cross[:, n1:]).sum(0)
-    apart = cc[n1:] > _SCREEN_PARALLEL * aa[n1:] * bb[n1:] + _SCREEN_TINY
-    two = np.where(apart, _sq(det) / np.maximum(cc[n1:], _SCREEN_TINY), 0.0)
-    bound = np.bincount(scr.family, np.concatenate((sq[:r0], one, two)),
-                        len(scr.tags))
-    limit = (2 * tol + _SCREEN_SLACK) ** 2 * float(_sq(x).sum())
-    return tuple(tag for tag, b in zip(scr.tags, bound.tolist())
-                 if not b > limit)
 
 
 def sample_constants(tag, rng: np.random.Generator, real: bool = False):
@@ -1067,9 +1019,6 @@ def closure_check(tag, constants=None, samples: int = 100, seed: int = 0,
     pairs = sample_instance(tag, rng, constants, real, size=(samples, 2))
     members = instance_params(pairs)
     products = compose(members[:, 0], members[:, 1])
-    worst = 0.0
-    drift = 0.0
-    recovered = None
 
     def pair(i):
         return tuple(FamilyInstance(fam.tag, dict(constants),
@@ -1077,30 +1026,29 @@ def closure_check(tag, constants=None, samples: int = 100, seed: int = 0,
                                      in pairs.base.items()})
                      for side in (0, 1))
 
-    member, residual, found = _membership_stack(fam, products, tol)
-    for i, (ok, res, got_consts) in enumerate(
-            zip(member.tolist(), residual.tolist(), found)):
-        if not ok:
-            raise ClosureViolation(fam.tag, *pair(i), res)
-        worst = max(worst, res)
-        if recovered is None:
-            recovered = dict(got_consts)
-        for name, given in constants.items():
-            got = got_consts.get(name)
-            if got is not None:
-                drift = max(drift, abs(got - given))
-                if abs(got - given) > tol * max(abs(given), 1.0):
-                    raise ClosureViolation(
-                        fam.tag, *pair(i), abs(got - given),
-                        reason=f"constant {name} drifted under composition",
-                    )
+    got = _memberships(products, (fam.tag,), tol)
+    names, lo = got.names[0]
+    given = np.array(list(constants.values()), dtype=complex)
+    gap = np.abs(got.table[:, [lo + names.index(c) for c in constants]]
+                 - given)
+    drifted = gap > tol * np.maximum(np.abs(given), 1.0)
+    bad = ~got.member[:, 0] | drifted.any(1)
+    if bad.any():
+        i = int(bad.argmax())
+        if not got.member[i, 0]:
+            raise ClosureViolation(fam.tag, *pair(i),
+                                   float(got.residual[i, 0]))
+        j = int(drifted[i].argmax())
+        raise ClosureViolation(
+            fam.tag, *pair(i), float(gap[i, j]),
+            reason=f"constant {list(constants)[j]} drifted under composition")
     return ClosureReport(
         tag=fam.tag,
         constants=dict(constants),
         samples=samples,
-        worst_residual=worst,
-        recovered=recovered or {},
-        max_constant_drift=drift,
+        worst_residual=max(0.0, *got.residual[:, 0].tolist()),
+        recovered=got.constants(0, [0])[0] if samples else {},
+        max_constant_drift=float(np.fmax.reduce(gap, axis=None, initial=0.0)),
     )
 
 

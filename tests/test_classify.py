@@ -1,8 +1,8 @@
 """Classifier: ranks, reality, memberships, ordering, false positives,
-and the residual screen that decides which memberships classify runs."""
+and classify's one pass over the catalog against per-tag membership."""
 
 import dataclasses
-import importlib
+import math
 import warnings
 
 import numpy as np
@@ -16,7 +16,6 @@ from kmln.families import (
     FAMILIES,
     FAMILY_TAGS,
     GROUP_TAGS,
-    candidate_tags,
     construct,
     instance_params,
     membership,
@@ -84,8 +83,8 @@ class TestNoFalsePositives:
             assert rep.rank == 4
             assert rep.families == ()
             assert rep.variants == ()
-            # the screen alone rules out every family
-            assert candidate_tags(disassemble(g)) == ()
+            # no family comes anywhere near
+            assert classify(g, tol=1e-2).families == ()
 
 
 class TestBehaviour:
@@ -165,24 +164,34 @@ def screen_inputs():
     return out
 
 
-def assert_screen_sound(p, tol):
-    kept = set(candidate_tags(p, tol))
-    for tag in FAMILY_TAGS:
-        if tag not in kept:
-            assert not membership(tag, p, tol).member, (tag, tol)
+def classify_params(g):
+    """The parameter set classify() tests: the matrix divided by the power
+    of two of its largest real or imaginary part when that is at least 1."""
+    g = np.ascontiguousarray(g, dtype=complex)
+    top = float(np.abs(g.view(float)).max())
+    if top >= 1:
+        g = np.ldexp(g.view(float), -math.frexp(top)[1]).view(complex)
+    return disassemble(g)
 
 
-def unscreened(monkeypatch):
-    """Make classify run membership for all 39 families."""
-    module = importlib.import_module("kmln.classify")
-    monkeypatch.setattr(module, "candidate_tags", lambda p, tol: FAMILY_TAGS)
+def assert_classify_matches_membership(g, tol):
+    """classify() reports exactly the members per-tag membership() finds,
+    with the same bits, sorted by residual and then catalog order."""
+    p = classify_params(g)
+    members = [mb for mb in (membership(tag, p, tol) for tag in FAMILY_TAGS)
+               if mb.member]
+    members.sort(key=lambda mb: (mb.residual, FAMILY_TAGS.index(mb.tag)))
+    assert repr(classify(g, tol).families) == repr(tuple(members)), tol
 
 
 class TestScreen:
+    """classify() tests all 39 families in one pass of the membership
+    kernel; it must report what membership() reports family by family."""
+
     @pytest.mark.parametrize("tol", TOLS)
     def test_never_drops_a_member(self, tol):
         for g in screen_inputs():
-            assert_screen_sound(disassemble(g), tol)
+            assert_classify_matches_membership(g, tol)
 
     @settings(max_examples=60, deadline=None)
     @given(tag=st.sampled_from(FAMILY_TAGS),
@@ -196,25 +205,25 @@ class TestScreen:
         rng = np.random.default_rng(seed)
         g = assemble(instance_params(sample_instance(tag, rng, real=real)))
         g = perturbed(g, rel, rng) * 10.0 ** scale
-        assert_screen_sound(disassemble(g), tol)
+        assert_classify_matches_membership(g, tol)
 
     @settings(max_examples=60, deadline=None)
     @given(parts=st.lists(st.sampled_from([0, 0, 0, 1, -1, 1j, 0.5 - 2j]),
                           min_size=16, max_size=16),
            tol=st.sampled_from(TOLS))
     def test_never_drops_a_member_sparse_property(self, parts, tol):
-        assert_screen_sound(ParamSet(*np.reshape(parts, (4, 4))), tol)
+        g = assemble(ParamSet(*np.reshape(parts, (4, 4))))
+        assert_classify_matches_membership(g, tol)
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
-    def test_classify_matches_the_unscreened_loop(self, tol, monkeypatch):
+    def test_classify_matches_the_unscreened_loop(self, tol):
         rng = np.random.default_rng(48)
         inputs = screen_inputs()
         inputs += [assemble(sample_variant(vid, rng)) for vid in VARIANT_IDS]
         inputs += [rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
                    for _ in range(20)]
-        screened = [repr(classify(g, tol)) for g in inputs]
-        unscreened(monkeypatch)
-        assert [repr(classify(g, tol)) for g in inputs] == screened
+        for g in inputs:
+            assert_classify_matches_membership(g, tol)
 
     def test_rule_swap_is_honoured(self, monkeypatch):
         # K-4 with m tied to k as well: a member of the swapped family is not
@@ -254,10 +263,9 @@ class TestScreen:
         assert mb.constants["A"] == pytest.approx(3, rel=1e-15)
 
     @pytest.mark.parametrize("scale", [1e-140, 1e140])
-    def test_extreme_scale_raises_no_warning(self, scale, monkeypatch):
+    def test_extreme_scale_raises_no_warning(self, scale):
         inputs = [scale * g for g in screen_inputs()[::7]]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            screened = [repr(classify(g)) for g in inputs]
-            unscreened(monkeypatch)
-            assert [repr(classify(g)) for g in inputs] == screened
+            for g in inputs:
+                assert_classify_matches_membership(g, 1e-9)

@@ -36,7 +36,7 @@ family KN-1 residual=0.000e+00 A=(2+0j)
 family ML-1 residual=0.000e+00 A=(0.5+0j)
 family KML-1 residual=0.000e+00
 family NLK-1 residual=0.000e+00 A=(2+0j)
-family NLM-1 residual=1.203e-16 A=(0.5000000000000001+0j)
+family NLM-1 residual=0.000e+00 A=(0.5+0j)
 variants: none
 """
 
@@ -204,6 +204,18 @@ class TestExitCodes:
             res = runner.invoke(cli, ["rank", str(doc)])
         assert res.exit_code == 0
         assert res.output == "rank: 1\n"
+
+    def test_rank_of_a_member_near_the_float_limit(self, runner, tmp_path):
+        # the meta.tag check runs membership on parameters near 1e200
+        gen = runner.invoke(cli, ["gen", "K-3", "-c", "D=2"])
+        doc = json.loads(gen.output)
+        for vec in doc["params"].values():
+            for pair in vec:
+                pair[0], pair[1] = pair[0] * 1e200, pair[1] * 1e200
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(doc))
+        res = run_strict("rank", str(path))
+        assert (res.returncode, res.stdout, res.stderr) == (0, "rank: 2\n", "")
 
     def test_classify_is_scale_free_near_the_float_limit(self, tmp_path):
         g = np.asarray(parse_document(FIXTURE.read_text()).matrix)

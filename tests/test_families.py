@@ -213,6 +213,34 @@ class TestMembership:
         assert mb.residual == np.inf
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_member_near_the_float_limit(self):
+        # a row this large is divided by a power of two before any square
+        p = construct("K-3", {"D": 2}, {"k": [1, 2, 3, 4]})
+        mb = membership("K-3", ParamSet._own(p._array * 1e200))
+        assert mb.member
+        assert mb.constants == {"D": 2 + 0j}
+        assert mb.residual == 0.0
+
+    def test_split_solve_calls_no_lapack(self, monkeypatch):
+        # NLK-1 and NLM-1 read A in closed form, in classify and in closure
+        def refuse(*args, **kwargs):
+            raise AssertionError("numpy.linalg.lstsq called")
+
+        monkeypatch.setattr(np.linalg, "lstsq", refuse)
+        from kmln.classify import classify
+
+        rng = np.random.default_rng(62)
+        for tag in ("NLK-1", "NLM-1"):
+            for real in (False, True):
+                inst = sample_instance(tag, rng, real=real)
+                rep = classify(assemble(instance_params(inst)))
+                mb = rep.families[rep.family_tags.index(tag)]
+                assert abs(mb.constants["A"] - inst.constants["A"]) \
+                    <= 1e-9 * abs(inst.constants["A"])
+        assert closure_check("NLM-1").max_constant_drift <= 1e-12
+
+
 class TestClosure:
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_family_closes(self, tag):

@@ -4,16 +4,17 @@ Every function that takes leading axes must give, for each item of a
 stack, the bytes it gives for that item alone; every bulk draw must
 consume the random stream exactly as the loop of single draws it replaces.
 The single draws as they were written before stacking are kept here as the
-oracle, and so is membership() as it was written before closure tested its
-products as one stack.
+oracle, and so is membership() as it was written before the catalog was
+compiled into one kernel, with the constant reads it used (_read,
+_split_plan, _split_solve) copied as they were.
 """
 
 import dataclasses
+import functools
+import math
 
 import numpy as np
 import pytest
-
-import math
 
 from kmln.core import (
     TOL_FLOOR,
@@ -35,10 +36,9 @@ from kmln.families import (
     FAMILY_TAGS,
     Membership,
     _coeff_parts,
-    _membership_stack,
-    _norm,
-    _read,
-    _sq_norm,
+    _combine,
+    _memberships,
+    _lengths,
     construct,
     descriptor,
     instance_params,
@@ -301,7 +301,70 @@ class TestConstruct:
             construct("K-7", {"A": [1, 0], "alpha": 1}, {"k": [1, 0, 0, 0]})
 
 
-# --- membership as written before closure products were tested as a stack --
+# --- membership as written before the catalog was compiled into one kernel -
+
+def _read(a, routes, thr):
+    """A constant read along its routes; the first route whose source part
+    has norm above thr decides, and None means every route is degenerate."""
+    for power, pieces in routes:
+        if power == 0:
+            return _split_solve(a, pieces, thr)
+        w = np.concatenate([_combine(a, terms) for _, terms in pieces])
+        y = np.concatenate([a[_SLOTS[target]] for target, _ in pieces])
+        denom = float(np.real(np.vdot(w, w)))
+        if math.sqrt(denom) <= thr:
+            continue
+        x = complex(np.vdot(w, y) / denom)
+        if power == 1:
+            return x
+        return None if abs(x) <= TOL_FLOOR else 1 / x
+    return None
+
+
+@functools.cache
+def _split_plan(pieces):
+    """Gathers for the split solve from the float view of a component
+    array: the target indices, then the real known parts and indices of
+    the base, direct and inverse terms, each stacked over the pieces."""
+    def at(slot):
+        return np.arange(2 * _SLOTS[slot].start, 2 * _SLOTS[slot].stop)
+
+    plan = [np.concatenate([at(target) for target, *_ in pieces])]
+    for terms in list(zip(*pieces))[1:]:
+        plan.append(np.concatenate([np.full(len(at(src)), known.real)
+                                    for known, src in terms]))
+        plan.append(np.concatenate([at(src) for _, src in terms]))
+    for arr in plan:
+        arr.setflags(write=False)
+    return plan
+
+
+def _split_solve(a, pieces, thr):
+    """c from target - base = c*u + (1/c)*v, solving for (c, 1/c) jointly
+    and falling back to whichever column is non-degenerate.
+
+    The terms are scaled on the float view: complex products would turn the
+    -0 of -a[source] into +0, and the sign of a zero steers LAPACK's
+    Householder reflections."""
+    at, kb, base, ku, direct, kv, inverse = _split_plan(pieces)
+    x = a.view(float)
+    y = (x[at] - kb * x[base]).view(complex)
+    u = (ku * x[direct]).view(complex)
+    v = (kv * x[inverse]).view(complex)
+    nu, nv = float(np.linalg.norm(u)), float(np.linalg.norm(v))
+    if nu <= thr and nv <= thr:
+        return None
+    design = np.column_stack([u, v])
+    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
+    x1, x2 = complex(sol[0]), complex(sol[1])
+    if nu > thr and abs(x1) > TOL_FLOOR:
+        return x1
+    if nv > thr and abs(x2) > TOL_FLOOR:
+        return 1 / x2
+    if nu > thr:
+        return x1
+    return None
+
 
 def loop_membership(tag, p: ParamSet, tol: float = 1e-9) -> Membership:
     fam = descriptor(tag)
@@ -348,22 +411,37 @@ def membership_bits(member, residual, constants):
              for name, c in constants.items()})
 
 
+# NLK-1 and NLM-1 read A by a closed-form two-column solve where the loop
+# calls LAPACK, so their digits may move; nothing else may
+SPLIT_TAGS = ("NLK-1", "NLM-1")
+
+
 def assert_membership_matches_loop(tag, stack, tol=1e-9):
-    """The stacked pass and the public membership() give every row the
-    bits the loop gives it; returns the loop's results."""
-    member, residual, constants = _membership_stack(descriptor(tag), stack,
-                                                    tol)
-    assert member.shape == residual.shape == (len(stack),)
-    assert len(constants) == len(stack)
+    """The kernel and the public membership() give every row the bits the
+    loop gives it (for NLK-1 and NLM-1: the same member flag, the same
+    indeterminate constants, and on members constants within 1e-12
+    relative), and each other identical bits; returns the loop's
+    results."""
+    got = _memberships(stack, (tag,), tol)
+    assert got.member.shape == got.residual.shape == (len(stack), 1)
     want = []
     for i, row in enumerate(stack):
         mb = loop_membership(tag, ParamSet._own(row.copy()), tol)
-        bits = membership_bits(mb.member, mb.residual, mb.constants)
-        assert membership_bits(member[i], residual[i], constants[i]) == bits, \
-            (tag, i)
+        kernel = membership_bits(got.member[i, 0], got.residual[i, 0],
+                                 got.constants(i, [0])[0])
         single = membership(tag, ParamSet._own(row.copy()), tol)
         assert membership_bits(single.member, single.residual,
-                               single.constants) == bits, (tag, i)
+                               single.constants) == kernel, (tag, i)
+        if tag in SPLIT_TAGS:
+            assert single.member == mb.member, (tag, i)
+            for name, c in mb.constants.items():
+                got_c = single.constants[name]
+                assert (got_c is None) == (c is None), (tag, i, name)
+                if mb.member and c is not None:
+                    assert abs(got_c - c) <= 1e-12 * abs(c), (tag, i, name)
+        else:
+            assert kernel == membership_bits(mb.member, mb.residual,
+                                             mb.constants), (tag, i)
         want.append(mb)
     return want
 
@@ -440,17 +518,17 @@ class TestMembership:
 
     @pytest.mark.parametrize("width", [1, 3, 4, 12, 16])
     def test_norms_match_numpy(self, width):
-        # the residual's building blocks, row by row: np.linalg.norm and
-        # its square as numpy takes it on a float64 (by pow, which differs
-        # from x*x in about one case in a thousand)
+        # the kernel's slot and parameter norms, row by row and on a stack
+        # of stacks: np.linalg.norm of each vector, bit for bit
         rng = np.random.default_rng(27)
         z = (rng.standard_normal((2000, width))
              + 1j * rng.standard_normal((2000, width))) \
             * 10.0 ** rng.uniform(-8, 8, (2000, 1))
-        assert same_bits(_norm(z), [np.linalg.norm(r) for r in z])
-        assert same_bits(_sq_norm(z), [np.linalg.norm(r) ** 2 for r in z])
+        want = [np.linalg.norm(r) for r in z]
+        assert same_bits(_lengths(z), want)
+        assert same_bits(_lengths(z.reshape(40, 50, width)).ravel(), want)
 
     def test_empty_stack(self):
-        member, residual, constants = _membership_stack(
-            FAMILIES["K-5"], np.zeros((0, 16), dtype=complex), 1e-9)
-        assert member.shape == residual.shape == (0,) and constants == []
+        got = _memberships(np.zeros((0, 16), dtype=complex), ("K-5",), 1e-9)
+        assert got.member.shape == got.residual.shape == (0, 1)
+        assert len(got.table) == 0
