@@ -8,9 +8,10 @@ all of them.  Memberships are sorted by residual, with the catalog order
 breaking ties, so the best explanation comes first.
 
 Every family is tested in one pass of the compiled membership kernel
-(families._memberships), which gives each family the constants, residual
-and member flag membership() gives it; families that are not members cost
-the same as the ones that are.
+(families._memberships), which gives each member the constants and
+residual membership() gives it.  The pass first bounds every family's
+residual from below; a matrix that the bound rules out of every family,
+as it does a generic one, costs only that bound.
 
 A matrix whose largest real or imaginary part is at least 1 is first
 divided by that part's power of two, which changes only exponents, so no
@@ -85,12 +86,15 @@ def classify(g, tol: float = 1e-9) -> ClassReport:
         scale = math.inf
     p = disassemble(g)
 
-    got = _memberships(p._array, FAMILY_TAGS, tol)
-    found = got.member[0].nonzero()[0].tolist()
-    memberships = list(map(Membership, map(FAMILY_TAGS.__getitem__, found),
-                           [True] * len(found), got.constants(0, found),
-                           got.residual[0, found].tolist()))
-    memberships.sort(key=lambda mb: (mb.residual, _TAG_ORDER[mb.tag]))
+    got = _memberships(p._array, FAMILY_TAGS, tol, members_only=True)
+    memberships = []
+    if got.member.any():
+        found = got.member[0].nonzero()[0].tolist()
+        memberships = sorted(
+            map(Membership, map(FAMILY_TAGS.__getitem__, found),
+                [True] * len(found), got.constants(0, found),
+                got.residual[0, found].tolist()),
+            key=lambda mb: (mb.residual, _TAG_ORDER[mb.tag]))
 
     return ClassReport(
         rank=numeric_rank(g, tol),

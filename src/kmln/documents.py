@@ -21,7 +21,6 @@ Every parse error names the JSON path it arose at, e.g.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,10 +52,10 @@ def _pair(value, where) -> complex:
             or any(isinstance(x, bool) or not isinstance(x, (int, float))
                    for x in value)):
         raise DocumentError(f"{where}: expected a [re, im] pair")
-    re, im = float(value[0]), float(value[1])
-    if not (math.isfinite(re) and math.isfinite(im)):
+    z = complex(float(value[0]), float(value[1]))
+    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
         raise DocumentError(f"{where}: non-finite value")
-    return complex(re, im)
+    return z
 
 
 def _c2pair(z) -> list:
@@ -87,17 +86,6 @@ def _parse_params(obj) -> ParamSet:
 def _parse_matrix(obj) -> np.ndarray:
     if not isinstance(obj, (list, tuple)) or len(obj) != 4:
         raise DocumentError("matrix: expected 4 rows")
-    # a well-formed matrix of finite numbers converts in one call; anything
-    # else is read entry by entry, so that the error names the entry
-    try:
-        parts = np.array(obj, dtype=float)
-    except (TypeError, ValueError, OverflowError):
-        parts = None
-    if (parts is not None and parts.shape == (4, 4, 2)
-            and all(type(x) in (int, float)
-                    for row in obj for pair in row for x in pair)
-            and np.isfinite(parts).all()):
-        return parts.view(complex).reshape(4, 4)
     g = np.zeros((4, 4), dtype=complex)
     for i, row in enumerate(obj):
         if not isinstance(row, (list, tuple)) or len(row) != 4:

@@ -35,7 +35,11 @@ Membership is one kernel: the rules are compiled into gathers of linear
 forms of the (16,) coordinates, and one pass over an (N, 16) stack reads
 every constant and sums every rule residual for every row and family.
 membership(), classify() and closure_check() all call it, and each row
-gets the bits it gets alone.
+gets the bits it gets alone.  For classify(), which reports members only,
+the pass first bounds every family's residual from below from the same
+forms, each coefficient that holds a constant taken as a free scalar for
+its slot alone; a matrix the bound rules out of every family is read no
+further.
 
 One catalog entry deserves a note: the two-constant family M-6 is stored
 here in the form forced by the multiplication law (the mirror image of
@@ -52,7 +56,6 @@ import functools
 import math
 import re
 from dataclasses import dataclass, field
-from types import SimpleNamespace
 from typing import Mapping, NamedTuple
 
 import numpy as np
@@ -611,16 +614,71 @@ _NONE = complex(math.nan, math.nan)
 # it the largest coefficient a read can give (about 1e26) times a part,
 # squared, stays inside the float range.
 _HUGE = 2.0 ** 400
+# The residual bound rules a family out only where it exceeds 2*tol plus
+# this slack, both relative to the parameter norm; the slack absorbs the
+# rounding of the bound and of the residual.
+_SLACK = 1e-12
+# The two-column bound |det[u, v, y]|^2 / |u x v|^2 divides by at least
+# _PARALLEL |u|^2 |v|^2, which only lowers it: det rounds by about
+# 3.5 eps |y| |u| |v|, so the bound's rounding stays below 1e-13 of the
+# parameter norm, well inside the slack, even for nearly parallel columns.
+_PARALLEL = 1e-4
+# Squared norms at most this, on a row scaled to parts below 1, may carry
+# subnormal rounding; a bound divides by _TINY instead, which only lowers it.
+_TINY = 1e-280
+# Lanes rotated forward and back: lane i of a x b is
+# a[_NEXT[i]] b[_PREV[i]] - a[_PREV[i]] b[_NEXT[i]].
+_NEXT, _PREV = (1, 2, 0), (2, 0, 1)
 
 
-def _spread(slot, *roles):
-    """Each lane of a slot as each role's terms (known, component), from
-    terms (known, source slot)."""
-    return [[[(k, _SLOTS[s].start + i) for k, s in terms] for terms in roles]
-            for i in range(_SLOTS[slot].stop - _SLOTS[slot].start)]
+class _Route(NamedTuple):
+    """A least-squares read along lanes, each (w terms, target terms), a
+    term (known, component): c ~ target.w / w.w, or the inverse of that
+    when ``inverted``.  Families and constants that need the same route
+    share it."""
+
+    inverted: bool
+    lanes: tuple
 
 
-def _lanes(slot):
+class _Plan(NamedTuple):
+    """Some families' rules compiled into gathers (see _compile)."""
+
+    catalog: tuple            # the FAMILIES entries compiled from
+    names: tuple              # per family: (constant names, first column)
+    table: np.ndarray         # (1, columns): None per constant, literals
+    forms: tuple              # (at, coeff): the distinct linear forms
+    at0: np.ndarray           # at, padding terms reading component 0
+    reads: np.ndarray         # (2, lanes): the forms w and target per lane
+    groups: tuple             # lanes (first, end) of routes of one length
+    inverted: int             # the first route that reads 1/c
+    tried: np.ndarray         # (tries, columns): each column's routes
+    split_column: np.ndarray  # per split solve
+    split_routes: np.ndarray  # (3, splits): its routes u;v, u;y and v;y
+    split_lanes: np.ndarray   # (splits, 2, 4): the lanes of u;v and u;y
+    bound: np.ndarray         # the forms the bound reads, in blocks
+    sizes: tuple              # the bound's plain lanes, one- and two-
+                              # column slots
+    bounded: np.ndarray       # (families, items): each family's bound items
+    sign: np.ndarray          # (exprs,) object: each coefficient's sign
+    factor: np.ndarray        # (width, exprs): table column of each factor
+    divides: np.ndarray       # (width, exprs)
+    signature: np.ndarray     # (exprs, 2**width): id of each unknown set
+    target: np.ndarray        # (slots, 3) components of each rule slot
+    expr: np.ndarray          # (slots, terms) coefficient of each term
+    src: np.ndarray           # (slots, terms, 3) components of each term
+    slots: np.ndarray         # (slots, families): each family's slots
+
+
+def _lanes(slot, *rows):
+    """Each lane of a slot as the given rows of terms (known, source
+    slot), each term turned into (known, component)."""
+    return tuple(tuple(tuple((k, _SLOTS[s].start + i) for k, s in terms)
+                       for terms in rows)
+                 for i in range(_SLOTS[slot].stop - _SLOTS[slot].start))
+
+
+def _slot3(slot):
     """A slot's components, padded to three with the zero column 16."""
     return [*range(_SLOTS[slot].start, _SLOTS[slot].stop), 16, 16][:3]
 
@@ -632,125 +690,174 @@ def _padded(rows, fill):
                     dtype=int).reshape(len(rows), size)
 
 
-def _compile(fams) -> SimpleNamespace:
-    """The rules of some families compiled into gathers over a component
-    array extended by a zero column (16), which pads every gather.
+def _compile(catalog, tags) -> _Plan:
+    """The rules of the families ``tags`` compiled into gathers.
 
-    ``table``: every family's constants (``names``: each one's names and
-    first column), then the literals.  Route lanes lie along one axis in
-    ``groups`` of one length, a route shorter than 4 padded to 4 (a BLAS
-    dot of fewer than 8 lanes adds zero lanes exactly); lane e of row 0
-    (w) sums coeff[:, 0, e] * x[at[:, 0, e]], row 1 is the target (y).
-    A route decides where |w| > thr and reads y.w / w.w, or its inverse
-    from route ``inverse`` on; ``tried``: each table column's routes in
-    order.  A split solve lays out routes u;v, u;y, u;y and v;y, and
-    _split_reads replaces the reads of the last three (``split``: their
-    count, first route and first u;y lane).  Coefficient e is sign[e]
-    times, or over (``divides``), the table columns factor[:, e]; an
-    unknown factor adds code[:, e] to its key.  Slot s has targets
-    target[s] and terms (expr, src); family f sums slots[:, f].
+    Every linear form of the component array the kernel needs is gathered
+    once: form j sums coeff[:, j] * x[at[:, j]] over a component array
+    extended by a zero column (16), which pads every sum.  Table columns
+    hold every family's constants, then the literals.
+
+    Reads: the routes that read each constant lie along one axis of
+    lanes, direct routes first, each run sorted by length, every route
+    padded with zero lanes to at least 4 (a BLAS dot of fewer than 8 lanes
+    adds zero lanes exactly), so that routes of one length share one dot.
+    A split solve (target = c*u + c'*v) has three routes that read
+    nothing: u;v, u;y and v;y, y the target less the base.
+
+    Bound: each rule slot's target y less its known terms, and one column
+    per set of constants its other terms carry (A*k - A*m is one column
+    k - m).  ``bound`` lists, in order, the lanes of the slots without a
+    column; for the vector slots with one column (pairs y, u) and then
+    those with two (pairs u, v), the first member of each pair with its
+    lanes rotated forward, then back, and the second member likewise,
+    each block lane-major (3, pairs); then y of the two-column slots,
+    lane-major.  Other slots bound nothing.
+
+    Coefficients: e is sign[e] times, or over (``divides``), the table
+    columns factor[:, e]; the set of factors it leaves unknown, as bits of
+    their positions, indexes its signature id, 0 for the empty set.
     """
-    names, col = [], {}
+    forms = {(): 0}
+
+    def form(terms):
+        return forms.setdefault(tuple(terms), len(forms))
+
+    fams = [FAMILIES[tag] for tag in tags]
+    empty = _Route(False, ())
+    routes = {empty: None}  # an ordered set
+
+    def route(inverted, lanes):
+        r = _Route(inverted, tuple(lanes))
+        routes[r] = None
+        return r
+
+    names, column, tried, splits = [], {}, [], []
+    plain, ones, twos = [], [], []
     for f, fam in enumerate(fams):
-        names.append((fam.constants, len(col)))
-        col.update({(f, c): len(col) + i for i, c in enumerate(fam.constants)})
+        names.append((fam.constants, len(column)))
+        for c, got in fam.routes.items():
+            column[f, c] = len(column)
+            tried.append([])
+            for power, pieces in got:
+                if power:
+                    tried[-1].append(route(power < 0, sum(
+                        (_lanes(t, ts, [(1, t)]) for t, ts in pieces), ())))
+                    continue
+                u, v, y = zip(*sum((_lanes(t, [d], [i], [(1, t), (-k, b)])
+                                    for t, (k, b), d, i in pieces), ()))
+                if len(u) > 4:
+                    raise ValueError("a split solve reads at most 4 lanes")
+                splits.append((column[f, c], *(route(False, zip(p, q))
+                               for p, q in ((u, v), (u, y), (v, y)))))
+        for slot, terms in fam.parsed.items():
+            cols = {}
+            for k, sig, src in terms:
+                cols.setdefault(sig, []).append((k, src))
+            y = [(1, slot)] + [(-k, src) for k, src in cols.pop((), [])]
+            rows = [[form(t) for t in row]
+                    for row in zip(*_lanes(slot, y, *cols.values()))]
+            if not cols:
+                plain += [(f, lane) for lane in rows[0]]
+            elif len(rows[0]) == 3 and len(cols) <= 2:
+                (twos if len(cols) == 2 else ones).append((f, *rows))
 
-    # routes as (sort key, lanes), a lane as its (w terms, y terms): the
-    # longest direct routes first, each kind of split route in a block, the
-    # v;y block opening the inverted ones
-    routes, tried, splits = [((False, -4, 0), [])], [], 0
-    for got in (got for fam in fams for got in fam.routes.values()):
-        tried.append([])
-        for power, pieces in got:
-            if power:
-                lanes = sum((_spread(t, ts, [(1, t)]) for t, ts in pieces), [])
-                tried[-1].append(len(routes))
-                routes.append(((power < 0, -max(4, len(lanes)), 1), lanes))
-                continue
-            lanes = sum((_spread(t, [d], [i], [(1, t), (-b[0], b[1])])
-                         for t, b, d, i in pieces), [])
-            if len(lanes) > 4:
-                raise ValueError("a split solve reads at most 4 lanes")
-            u, v, y = zip(*lanes + [([], [], [])] * (4 - len(lanes)))
-            tried[-1] += [len(routes) + 2, len(routes) + 3, len(routes) + 1]
-            routes += [((False, -4, 2), [*zip(u, v)]),
-                       ((False, -4, 3), [*zip(u, y)]),
-                       ((False, -4, 4), [*zip(u, y)]),
-                       ((True, -99, 0), [*zip(v, y)])]
-            splits += 1
-    order = sorted(range(len(routes)), key=lambda r: routes[r][0])
-    rank = {r: k for k, r in enumerate(order)}
-    lanes, groups, start = [], [], []
+    def length(r):
+        return max(4, len(r.lanes))
+
+    order = sorted(routes, key=lambda r: (r.inverted, -length(r)))
+    place, start = {r: k for k, r in enumerate(order)}, {}
+    lanes, groups = [], []
     for r in order:
-        size = max(4, len(routes[r][1]))
-        if not groups or groups[-1][2] != size:
-            groups.append([len(lanes), len(lanes), size])
-        start.append(len(lanes))
-        lanes += routes[r][1] + [([], [])] * (size - len(routes[r][1]))
+        if not groups or groups[-1][2] != length(r):
+            groups.append([len(lanes), len(lanes), length(r)])
+        start[r] = len(lanes)
+        lanes += [tuple(map(form, lane)) for lane in r.lanes]
+        lanes += [(0, 0)] * (length(r) - len(r.lanes))
         groups[-1][1] = len(lanes)
-    size = max(len(t) for lane in lanes for t in lane)
-    lanes = np.array([[t + [(0, 16)] * (size - len(t)) for t in lane]
-                      for lane in lanes], dtype=complex)
-    lanes = lanes.reshape(len(lanes), 2, size, 2)
-    at, coeff = lanes[..., 1].real.astype(int).T, lanes[..., 0].T
-    head = min([rank[r] for r in rank if routes[r][0][2] == 2] or [0])
 
-    # coefficient 0 is the zero of padded terms
+    pairs = [(y, u) for _, y, u in ones] + [(u, v) for _, _, u, v in twos]
+    bound = [lane for _, lane in plain]
+    for side in (0, 1):
+        for turn in (_NEXT, _PREV):
+            bound += [pair[side][turn[i]] for i in range(3) for pair in pairs]
+    bound += [y[i] for i in range(3) for _, y, _, _ in twos] + [0]
+    item = [f for f, *_ in plain + ones + twos]
+
     literals, exprs, index = {1 + 0j: 0}, [(0j, [])], {}
     for f, fam in enumerate(fams):
-        places = {}
         for expr in fam.coeffs:
             sign, factors = _parse_coeff(expr)
             index[f, expr] = len(exprs)
             exprs.append((sign, [
-                (col[f, token] if literal is None else
-                 len(col) + literals.setdefault(literal, len(literals)),
-                 divides, places.setdefault((token, divides), len(places)))
+                (column[f, token] if literal is None else
+                 len(column) + literals.setdefault(literal, len(literals)),
+                 divides, (token, -1 if divides else 1))
                 for divides, token, literal in factors]))
-    width = max(1, *(len(steps) for _, steps in exprs))
-    steps = np.array([s + [(len(col), False, -1)] * (width - len(s))
-                      for _, s in exprs], dtype=int).reshape(-1, width, 3).T
+    width = max(len(steps) for _, steps in exprs) or 1
+    ids = {(): 0}
+    signature = [[ids.setdefault(tuple(sorted(
+        name for j, (_, _, name) in enumerate(steps) if bits >> j & 1)),
+        len(ids)) for bits in range(2 ** width)] for _, steps in exprs]
+    steps = np.array([[step[:2] for step in s] + [(len(column), False)]
+                      * (width - len(s)) for _, s in exprs],
+                     dtype=int).reshape(-1, width, 2).T
 
     slots, members = [], []
     for f, fam in enumerate(fams):
         members.append(range(len(slots), len(slots) + len(fam.rules)))
-        slots += [(_lanes(s), [(index[f, c], _lanes(src)) for c, src in ts])
+        slots += [(_slot3(s), [(index[f, c], _slot3(src)) for c, src in ts])
                   for s, ts in fam.rules.items()]
     slots.append(([16] * 3, []))
     size = max(len(ts) for _, ts in slots) or 1
     slots = [(t, ts + [(0, [16] * 3)] * (size - len(ts))) for t, ts in slots]
 
-    plan = SimpleNamespace(
-        families=tuple(fams), names=tuple(names),
-        table=np.array([[_NONE] * len(col) + list(literals)]),
-        at=at, coeff=coeff, groups=tuple(map(tuple, groups)),
-        inverse=sum(not routes[r][0][0] for r in order),
-        tried=_padded([[rank[r] for r in rs] for rs in tried]
-                      + [[]] * len(literals), rank[0]).T.copy(),
-        split=(splits, head, start[head + 2 * splits] if splits else 0),
+    size = max(map(len, forms)) or 1
+    terms = [t + ((0, 16),) * (size - len(t)) for t in forms]
+    plan = _Plan(
+        catalog=catalog, names=tuple(names),
+        table=np.array([[_NONE] * len(column) + list(literals)]),
+        forms=(np.array([[c for _, c in t] for t in terms], dtype=int).T,
+               np.array([[k for k, _ in t] for t in terms], dtype=complex).T),
+        at0=np.array([[c % 16 for _, c in t] for t in terms], dtype=int).T,
+        reads=np.array(lanes, dtype=int).T.copy(),
+        groups=tuple(map(tuple, groups)),
+        inverted=sum(not r.inverted for r in order),
+        tried=_padded([[place[r] for r in rs] for rs in tried]
+                      + [[]] * len(literals), place[empty]).T.copy(),
+        split_column=np.array([c for c, *_ in splits], dtype=int),
+        split_routes=np.array([[place[r] for r in rs] for _, *rs in splits],
+                              dtype=int).reshape(-1, 3).T.copy(),
+        split_lanes=np.array([[range(start[r], start[r] + 4) for r in rs[:2]]
+                              for _, *rs in splits],
+                             dtype=int).reshape(-1, 2, 4),
+        bound=np.array(bound, dtype=int),
+        sizes=(len(plain), len(ones), len(twos)),
+        bounded=_padded([[e for e, g in enumerate(item) if g == f]
+                         for f in range(len(fams))], len(item)),
         sign=np.array([sign for sign, _ in exprs], dtype=object),
         factor=steps[0], divides=steps[1].astype(bool),
-        code=np.where(steps[2] < 0, 0, (1 + width) ** np.maximum(steps[2], 0)),
+        signature=np.array(signature),
         target=np.array([t for t, _ in slots]),
         expr=np.array([[e for e, _ in ts] for _, ts in slots]),
         src=np.array([[s for _, s in ts] for _, ts in slots]),
         slots=_padded(members, len(slots) - 1).T.copy())
-    for arr in vars(plan).values():
+    for arr in (*plan, *plan.forms):
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
     return plan
 
 
-# compiled per tuple of tags on first use, and again whenever one of their
-# FAMILIES entries is replaced
+# compiled per tuple of tags on first use, and again whenever a FAMILIES
+# entry is replaced
 _plans = {}
 
 
-def _plan(tags) -> SimpleNamespace:
-    fams = tuple(map(FAMILIES.__getitem__, tags))
+def _plan(tags) -> _Plan:
+    catalog = tuple(FAMILIES.values())
     plan = _plans.get(tags)
-    if plan is None or plan.families != fams:
-        plan = _plans[tags] = _compile(fams)
+    if plan is None or plan.catalog != catalog:
+        plan = _plans[tags] = _compile(catalog, tags)
     return plan
 
 
@@ -763,67 +870,78 @@ def _lengths(z):
     return np.sqrt(np.vecdot(parts, parts).sum(-1))
 
 
-def _split_reads(plan, wy, den, num, ok, val):
-    """Give each split solve's u;y, second u;y and v;y routes the reads c,
-    c and 1/c' of target - base = c*u + c'*v by least squares: u projected
-    out of v and y (Gram-Schmidt), whose error grows with the condition of
-    [u, v], not its square; where lstsq's cut-off deems [u, v] of rank
-    one, the minimum-norm solution [u.y, v.y] / (|u|^2 + |v|^2).  The
-    first two decide only where c, or c', is not tiny; the second u;y
-    reads c wherever u is non-degenerate."""
-    count, r, e = plan.split
-    n = len(wy)
-    uu, _, _, vv = den[:, r:r + 4 * count].reshape(n, 4, count).swapaxes(0, 1)
-    dots = num[:, r:r + 4 * count].reshape(n, 4, count)
-    along = dots[:, :2] / np.where(uu > 0, uu, 1.0)[:, None]
-    rest = wy[:, :, e + 4 * count:e + 8 * count].reshape(n, 2, count, 4) \
-        - along[..., None] * wy[:, :1, e:e + 4 * count].reshape(n, 1, count, 4)
-    rest = np.vecdot(rest[:, :1], rest)
-    both = uu + vv
-    full = np.sqrt(uu) * np.sqrt(rest[:, 0].real) \
-        > 4 * np.finfo(float).eps * both
-    inv = rest[:, 1] / np.where(full, rest[:, 0].real, 1.0)
-    x = np.where(full[:, None], np.stack([along[:, 1] - along[:, 0] * inv,
-                                          inv], 1),
-                 dots[:, 2:] / np.where(both > 0, both, 1.0)[:, None])
-    ok[:, r + 2 * count:r + 4 * count].reshape(n, 2, count)[...] &= \
-        np.abs(x) > TOL_FLOOR
-    val[:, r + count:r + 4 * count] = x[:, [0, 0, 1]].reshape(n, 3 * count)
+def _sq(z):
+    return z.real ** 2 + z.imag ** 2
 
 
-def _read_constants(plan, xe, thr):
-    """The table on each row: every constant as membership() reports it
-    (NaN for None), then the literals.  Dots are taken with np.vecdot,
-    which takes the dot np.vdot takes on each route alone."""
-    n = len(xe)
-    # a sum over a middle axis adds its slices in order
-    wy = (plan.coeff * xe.take(plan.at, axis=1)).sum(1)
-    den, num = np.concatenate([
-        np.vecdot(group[:, :1], group) for group in (
-            wy[:, :, lo:hi].reshape(n, 2, (hi - lo) // length, length)
-            for lo, hi, length in plan.groups)], 2).swapaxes(0, 1)
-    den = den.real
-    ok = np.sqrt(den) > thr[:, None]
-    val = num / np.where(ok, den, 1.0)
-    if plan.split[0]:
-        _split_reads(plan, wy, den, num, ok, val)
-    inv = val[:, plan.inverse:]
-    tiny = np.abs(inv) <= TOL_FLOOR
-    # Python's own 1 / x, on Python complex numbers
-    inv[...] = np.where(tiny, _NONE, (1 / np.where(tiny, 1, inv).astype(
+def _inverse(z):
+    """Python's own 1/z on each value (numpy's quotient rounds
+    differently), NaN where |z| is too small to invert."""
+    tiny = np.abs(z) <= TOL_FLOOR
+    return np.where(tiny, _NONE, (1 / np.where(tiny, 1, z).astype(
         object)).astype(complex))
-    ok, val = ok.take(plan.tried, axis=1), val.take(plan.tried, axis=1)
-    table = plan.table.repeat(n, 0)
-    for r in range(len(plan.tried) - 1, -1, -1):
-        table = np.where(ok[:, r], val[:, r], table)
-    return table
+
+
+def _abs2(z):
+    return (z * z.conj()).real
+
+
+def _bound(plan, lin):
+    """A lower bound on each family's squared rule residual on each row,
+    from the forms ``bound`` of a row: each coefficient that holds a
+    constant becomes a free complex scalar for its slot alone, so the
+    residual at any constants, the ones the kernel reads included, is at
+    least the sum over the slots of their least-squares residuals over
+    those scalars.  Scalar slots with a column and slots with more than
+    two add nothing."""
+    n = len(lin)
+    p, k1, k2 = plan.sizes
+    r1 = p + 12 * (k1 + k2)
+    lsq = _abs2(lin)
+    blocks = lin[:, p:r1].reshape(n, 4, 3, -1)
+    norms = lsq[:, p:r1].reshape(n, 4, 3, -1).sum(2)
+    cross = blocks[:, 0] * blocks[:, 3] - blocks[:, 1] * blocks[:, 2]
+    cc = _abs2(cross).sum(1)
+    # one column u: min over c of |y - c u|^2 = |y x u|^2 / |u|^2 (the
+    # Lagrange identity, free of cancellation)
+    one = cc[:, :k1] / np.maximum(norms[:, 2, :k1], _TINY)
+    # two columns u, v: the distance from y to span(u, v) is
+    # |det[u, v, y]| / |u x v| (see _PARALLEL)
+    det = (lin[:, r1:-1].reshape(n, 3, -1) * cross[:, :, k1:]).sum(1)
+    two = _abs2(det) / (np.maximum(cc[:, k1:], _PARALLEL * norms[:, 0, k1:]
+                                * norms[:, 2, k1:]) + _TINY)
+    # the last form of ``bound`` is the zero form: it pads ``bounded``
+    items = np.concatenate([lsq[:, :p], one, two, lsq[:, -1:]], 1)
+    return items.take(plan.bounded, axis=1).sum(2)
+
+
+def _split_reads(plan, den, num, val, ok, rest):
+    """Each split solve's constant on each row (NaN for None), from the
+    projections rest of v and y off u: (c, c') by least squares,
+    Gram-Schmidt, whose error grows with the condition of [u, v], not its
+    square; where lstsq's cut-off deems [u, v] of rank one, the
+    minimum-norm solution [u.y, v.y] / (|u|^2 + |v|^2).  c decides where
+    u does not vanish and c is not tiny, then 1/c' where v does not
+    vanish and c' is not tiny, then c where u does not vanish."""
+    uv, uy, vy = plan.split_routes
+    uu, vv = den[:, uv], den[:, vy]
+    rvv, rvy = np.moveaxis(np.vecdot(rest[:, :, :1], rest), -1, 0)
+    rvv, both = rvv.real, uu + vv
+    full = np.sqrt(uu) * np.sqrt(rvv) > 4 * np.finfo(float).eps * both
+    even = np.where(both > 0, both, 1.0)
+    c2 = np.where(full, rvy / np.where(full, rvv, 1.0), num[:, vy] / even)
+    c1 = np.where(full, val[:, uy] - val[:, uv] * c2, num[:, uy] / even)
+    return np.where(ok[:, uv] & (np.abs(c1) > TOL_FLOOR), c1, np.where(
+        ok[:, vy] & (np.abs(c2) > TOL_FLOOR), _inverse(c2),
+        np.where(ok[:, uv], c1, _NONE)))
 
 
 def _coefficients(plan, table):
     """Each coefficient's known part on each row as _coeff_parts gives it,
     in Python's complex arithmetic (numpy's product fuses its multiply-adds
-    and its quotient rounds differently), and its key: factors that are
-    None, and divisors too small to invert, stay unknown."""
+    and its quotient rounds differently), and the id of its signature:
+    factors that are None, and divisors too small to invert, stay
+    unknown."""
     f = table.take(plan.factor, axis=1)
     skip = np.isnan(f) | (plan.divides & (np.abs(f) <= TOL_FLOOR))
     f = np.where(skip, 1, f)
@@ -834,13 +952,16 @@ def _coefficients(plan, table):
     known = plan.sign
     for j in range(len(plan.factor)):
         known = known * mul[:, j] / div[:, j]
-    return known.astype(complex), (skip * plan.code).sum(1)
+    bits = (skip * (1 << np.arange(len(plan.factor)))[:, None]).sum(1)
+    return known.astype(complex), plan.signature[np.arange(bits.shape[1]),
+                                                 bits]
 
 
 def _residuals(plan, xe, known, key, thr):
     """Each family's squared rule residual on each row, summed over its
-    slots in rule order, with inf where terms sharing one unknown factor
-    do not vanish together (c*(u - v) vanishes for every c when u == v)."""
+    slots in rule order, with inf where terms sharing one unknown
+    signature do not vanish together (c*(u - v) vanishes for every c when
+    u == v)."""
     src = xe.take(plan.src, axis=1)
     unknown = key.any()
     acc = ((np.where(key == 0, known, 0) if unknown else known).take(
@@ -848,7 +969,7 @@ def _residuals(plan, xe, known, key, thr):
     sq = np.float_power(_lengths(xe.take(plan.target, axis=1) - acc), 2)
     total = sq.take(plan.slots, axis=1).sum(1)
     if unknown:
-        # the terms of each slot grouped by their keys
+        # the terms of each slot grouped by their signatures
         keys = key.take(plan.expr, axis=1)
         pending = np.where((keys[..., None] == keys[..., None, :])[..., None],
                            (known.take(plan.expr, axis=1)[..., None]
@@ -868,27 +989,70 @@ class _Memberships(NamedTuple):
 
     def constants(self, row, families):
         """Row ``row``'s constants in each of the families, as dicts."""
-        values = self.table[row].tolist()
-        return [{name: None if c != c else c
-                 for name, c in zip(names, values[lo:lo + len(names)])}
+        return [{name: None if c != c else c for name, c in zip(
+            names, self.table[row, lo:lo + len(names)].tolist())}
                 for names, lo in map(self.names.__getitem__, families)]
 
 
-def _memberships(a, tags, tol) -> _Memberships:
+def _memberships(a, tags, tol, members_only=False) -> _Memberships:
     """membership() of each row of a (N, 16) component array in each family
     of ``tags``, in one pass, every row with the bits it gets alone; the
     rows at _HUGE are taken divided by a power of two (exact), the others
-    as they are (pow's last bit depends on the exponent)."""
+    as they are (pow's last bit depends on the exponent).
+
+    With ``members_only``, every family's residual is first bounded from
+    below (_bound), and a stack that the bound rules out of every family
+    (above 2*tol plus _SLACK) is read no further: no flag is set, every
+    constant is None and each residual is the bound.
+    """
     plan = _plan(tuple(tags))
     a = np.ascontiguousarray(a, dtype=complex).reshape(-1, 16)
-    if np.abs(a.view(float)).max(initial=0.0) >= _HUGE:
-        top = np.abs(a.view(float)).max(-1)
+    top = np.abs(a.view(float)).max(-1, initial=0.0)
+    if top.max(initial=0.0) >= _HUGE:
         shift = np.where(top >= _HUGE, -np.frexp(top)[1], 0)
         a = np.ldexp(a.view(float), shift[:, None]).view(complex)
-    xe = np.concatenate([a, np.zeros((len(a), 1), dtype=complex)], 1)
+        top = np.ldexp(top, shift)
+    n = len(a)
+    at, coeff = plan.forms
+    if members_only:
+        # each row divided by its largest part t, so that its norm is at
+        # most sqrt(32) and its residual at least sqrt(bound / 32); the
+        # padding terms read component 0 with coefficient 0
+        x = a / np.maximum(top, TOL_FLOOR)[:, None]
+        bound = _bound(plan, (coeff * x.take(plan.at0, axis=1)).sum(1).take(
+            plan.bound, axis=1))
+        if (bound > 32 * (2 * tol + _SLACK) ** 2).all():
+            return _Memberships(np.zeros(bound.shape, dtype=bool),
+                                np.sqrt(bound / 32), plan.table.repeat(n, 0),
+                                plan.names)
+    xe = np.concatenate([a, np.zeros((n, 1), dtype=complex)], 1)
+    forms = (coeff * xe.take(at, axis=1)).sum(1)
+
+    # every route's dots and scalar (a sum over a middle axis adds its
+    # slices in order)
     scale = np.maximum(_lengths(a), TOL_FLOOR)
     thr = _INDET_REL * scale
-    table = _read_constants(plan, xe, thr)
+    wy = forms.take(plan.reads, axis=1)
+    den, num = np.concatenate([
+        np.vecdot(group[:, :1], group) for group in (
+            wy[:, :, lo:hi].reshape(n, 2, (hi - lo) // length, length)
+            for lo, hi, length in plan.groups)], 2).swapaxes(0, 1)
+    den = den.real
+    ok = np.sqrt(den) > thr[:, None]
+    val = num / np.where(den > 0, den, 1.0)
+
+    table = plan.table.repeat(n, 0)
+    if len(plan.split_column):
+        # v and y less their u parts
+        lanes = wy[:, :, plan.split_lanes]
+        rest = lanes[:, 1] - val[:, plan.split_routes[:2].T, None] \
+            * lanes[:, 0]
+        table[:, plan.split_column] = _split_reads(plan, den, num, val, ok,
+                                                   rest)
+    val[:, plan.inverted:] = _inverse(val[:, plan.inverted:])
+    ok, val = ok.take(plan.tried, axis=1), val.take(plan.tried, axis=1)
+    for i in range(len(plan.tried) - 1, -1, -1):
+        table = np.where(ok[:, i], val[:, i], table)
     known, key = _coefficients(plan, table)
     residual = np.sqrt(_residuals(plan, xe, known, key, thr)) / scale[:, None]
     return _Memberships(residual <= tol, residual, table, plan.names)
@@ -907,10 +1071,6 @@ def membership(tag, p: ParamSet, tol: float = 1e-9) -> Membership:
     got = _memberships(p._array, (fam.tag,), tol)
     return Membership(fam.tag, bool(got.member[0, 0]),
                       got.constants(0, [0])[0], float(got.residual[0, 0]))
-
-
-def _sq(z):
-    return z.real ** 2 + z.imag ** 2
 
 
 def sample_constants(tag, rng: np.random.Generator, real: bool = False):
@@ -1013,6 +1173,8 @@ def closure_check(tag, constants=None, samples: int = 100, seed: int = 0,
     violation names the first pair that loop would fail on.
     """
     fam = descriptor(tag)
+    if samples <= 0:
+        raise ValueError("samples must be positive")
     rng = np.random.default_rng(seed)
     if constants is None:
         constants = sample_constants(tag, rng, real)
@@ -1046,8 +1208,8 @@ def closure_check(tag, constants=None, samples: int = 100, seed: int = 0,
         tag=fam.tag,
         constants=dict(constants),
         samples=samples,
-        worst_residual=max(0.0, *got.residual[:, 0].tolist()),
-        recovered=got.constants(0, [0])[0] if samples else {},
+        worst_residual=float(got.residual[:, 0].max()),
+        recovered=got.constants(0, [0])[0],
         max_constant_drift=float(np.fmax.reduce(gap, axis=None, initial=0.0)),
     )
 

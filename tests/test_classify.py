@@ -16,12 +16,14 @@ from kmln.families import (
     FAMILIES,
     FAMILY_TAGS,
     GROUP_TAGS,
+    _memberships,
     construct,
     instance_params,
     membership,
     sample_instance,
 )
 from kmln.variants import VARIANT_IDS, sample_variant
+from test_stacking import assert_same_as_loop, loop_membership
 
 TOLS = (1e-12, 1e-9, 1e-6, 1e-3)
 
@@ -176,17 +178,22 @@ def classify_params(g):
 
 def assert_classify_matches_membership(g, tol):
     """classify() reports exactly the members per-tag membership() finds,
-    with the same bits, sorted by residual and then catalog order."""
+    with the same bits, sorted by residual and then catalog order; and
+    membership() gives every tag what the loop oracle of test_stacking
+    gives it."""
     p = classify_params(g)
-    members = [mb for mb in (membership(tag, p, tol) for tag in FAMILY_TAGS)
-               if mb.member]
+    per_tag = [membership(tag, p, tol) for tag in FAMILY_TAGS]
+    for mb in per_tag:
+        assert_same_as_loop(mb, loop_membership(mb.tag, p, tol), (mb.tag, tol))
+    members = [mb for mb in per_tag if mb.member]
     members.sort(key=lambda mb: (mb.residual, FAMILY_TAGS.index(mb.tag)))
     assert repr(classify(g, tol).families) == repr(tuple(members)), tol
 
 
 class TestScreen:
     """classify() tests all 39 families in one pass of the membership
-    kernel; it must report what membership() reports family by family."""
+    kernel, which a lower bound on every residual may stop early; it must
+    report what membership() reports family by family."""
 
     @pytest.mark.parametrize("tol", TOLS)
     def test_never_drops_a_member(self, tol):
@@ -224,6 +231,19 @@ class TestScreen:
                    for _ in range(20)]
         for g in inputs:
             assert_classify_matches_membership(g, tol)
+
+    def test_bound_stops_the_pass_on_generic_matrices(self):
+        # no constant is read, and each residual reported is a lower bound
+        rng = np.random.default_rng(49)
+        for _ in range(50):
+            g = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
+            a = classify_params(g)._array
+            cut = _memberships(a, FAMILY_TAGS, 1e-9, members_only=True)
+            full = _memberships(a, FAMILY_TAGS, 1e-9)
+            assert not cut.member.any()
+            assert all(c is None for d in cut.constants(0, range(39))
+                       for c in d.values())
+            assert (cut.residual <= full.residual).all()
 
     def test_rule_swap_is_honoured(self, monkeypatch):
         # K-4 with m tied to k as well: a member of the swapped family is not

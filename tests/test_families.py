@@ -212,7 +212,6 @@ class TestMembership:
         assert mb.constants["A"] is None
         assert mb.residual == np.inf
 
-
     @pytest.mark.filterwarnings("error")
     def test_member_near_the_float_limit(self):
         # a row this large is divided by a power of two before any square
@@ -252,6 +251,10 @@ class TestClosure:
     def test_family_closes_real(self, tag):
         rep = closure_check(tag, samples=25, seed=102, real=True)
         assert rep.worst_residual <= 1e-9
+
+    def test_samples_must_be_positive(self):
+        with pytest.raises(ValueError, match="samples must be positive"):
+            closure_check("K-3", samples=0)
 
     def test_violation_carries_the_pair(self):
         fam = FAMILIES["K-4"]

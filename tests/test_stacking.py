@@ -416,12 +416,27 @@ def membership_bits(member, residual, constants):
 SPLIT_TAGS = ("NLK-1", "NLM-1")
 
 
+def assert_same_as_loop(got, want, where):
+    """A Membership against the loop's: the same bits, except that NLK-1
+    and NLM-1 need only the same member flag and indeterminate constants,
+    and on members constants within 1e-12 relative."""
+    if got.tag not in SPLIT_TAGS:
+        assert membership_bits(got.member, got.residual, got.constants) \
+            == membership_bits(want.member, want.residual,
+                               want.constants), where
+        return
+    assert got.member == want.member, where
+    for name, c in want.constants.items():
+        assert (got.constants[name] is None) == (c is None), (where, name)
+        if want.member and c is not None:
+            assert abs(got.constants[name] - c) <= 1e-12 * abs(c), \
+                (where, name)
+
+
 def assert_membership_matches_loop(tag, stack, tol=1e-9):
     """The kernel and the public membership() give every row the bits the
-    loop gives it (for NLK-1 and NLM-1: the same member flag, the same
-    indeterminate constants, and on members constants within 1e-12
-    relative), and each other identical bits; returns the loop's
-    results."""
+    loop gives it (see assert_same_as_loop), and each other identical
+    bits; returns the loop's results."""
     got = _memberships(stack, (tag,), tol)
     assert got.member.shape == got.residual.shape == (len(stack), 1)
     want = []
@@ -432,16 +447,7 @@ def assert_membership_matches_loop(tag, stack, tol=1e-9):
         single = membership(tag, ParamSet._own(row.copy()), tol)
         assert membership_bits(single.member, single.residual,
                                single.constants) == kernel, (tag, i)
-        if tag in SPLIT_TAGS:
-            assert single.member == mb.member, (tag, i)
-            for name, c in mb.constants.items():
-                got_c = single.constants[name]
-                assert (got_c is None) == (c is None), (tag, i, name)
-                if mb.member and c is not None:
-                    assert abs(got_c - c) <= 1e-12 * abs(c), (tag, i, name)
-        else:
-            assert kernel == membership_bits(mb.member, mb.residual,
-                                             mb.constants), (tag, i)
+        assert_same_as_loop(single, mb, (tag, i))
         want.append(mb)
     return want
 
