@@ -915,22 +915,27 @@ def _bound(plan, lin):
     return items.take(plan.bounded, axis=1).sum(2)
 
 
-def _split_reads(plan, den, num, val, ok, rest):
+def _split_reads(plan, den, num, along, ok, rest):
     """Each split solve's constant on each row (NaN for None), from the
-    projections rest of v and y off u: (c, c') by least squares,
-    Gram-Schmidt, whose error grows with the condition of [u, v], not its
-    square; where lstsq's cut-off deems [u, v] of rank one, the
-    minimum-norm solution [u.y, v.y] / (|u|^2 + |v|^2).  c decides where
-    u does not vanish and c is not tiny, then 1/c' where v does not
-    vanish and c' is not tiny, then c where u does not vanish."""
+    coefficients ``along`` u of v and y and what ``rest`` of them: (c, c')
+    by least squares, Gram-Schmidt, whose error grows with the condition
+    of [u, v], not its square; where lstsq's cut-off deems [u, v] of rank
+    one, the minimum-norm solution [u.y, v.y] / (|u|^2 + |v|^2).  c
+    decides where u does not vanish and c is not tiny, then 1/c' where v
+    does not vanish and c' is not tiny, then c where u does not vanish."""
     uv, uy, vy = plan.split_routes
     uu, vv = den[:, uv], den[:, vy]
     rvv, rvy = np.moveaxis(np.vecdot(rest[:, :, :1], rest), -1, 0)
     rvv, both = rvv.real, uu + vv
     full = np.sqrt(uu) * np.sqrt(rvv) > 4 * np.finfo(float).eps * both
-    even = np.where(both > 0, both, 1.0)
-    c2 = np.where(full, rvy / np.where(full, rvv, 1.0), num[:, vy] / even)
-    c1 = np.where(full, val[:, uy] - val[:, uv] * c2, num[:, uy] / even)
+    # a square below _TINY (a vector under 1e-140) divides by inf instead,
+    # since it could overflow the quotient: then no quotient decides, or
+    # the vector is negligible against one that does
+    even = np.where(both > _TINY, both, np.inf)
+    c2 = np.where(full, rvy / np.where(full & (rvv > _TINY), rvv, np.inf),
+                  num[:, vy] / even)
+    c1 = np.where(full, along[..., 1] - along[..., 0] * c2,
+                  num[:, uy] / even)
     return np.where(ok[:, uv] & (np.abs(c1) > TOL_FLOOR), c1, np.where(
         ok[:, vy] & (np.abs(c2) > TOL_FLOOR), _inverse(c2),
         np.where(ok[:, uv], c1, _NONE)))
@@ -1039,15 +1044,17 @@ def _memberships(a, tags, tol, members_only=False) -> _Memberships:
             for lo, hi, length in plan.groups)], 2).swapaxes(0, 1)
     den = den.real
     ok = np.sqrt(den) > thr[:, None]
-    val = num / np.where(den > 0, den, 1.0)
+    val = num / np.where(ok, den, 1.0)
 
     table = plan.table.repeat(n, 0)
     if len(plan.split_column):
-        # v and y less their u parts
+        # v and y less their u parts (see _split_reads on _TINY)
+        uu = den[:, plan.split_routes[0], None]
+        along = num[:, plan.split_routes[:2].T] / np.where(uu > _TINY, uu,
+                                                           np.inf)
         lanes = wy[:, :, plan.split_lanes]
-        rest = lanes[:, 1] - val[:, plan.split_routes[:2].T, None] \
-            * lanes[:, 0]
-        table[:, plan.split_column] = _split_reads(plan, den, num, val, ok,
+        rest = lanes[:, 1] - along[..., None] * lanes[:, 0]
+        table[:, plan.split_column] = _split_reads(plan, den, num, along, ok,
                                                    rest)
     val[:, plan.inverted:] = _inverse(val[:, plan.inverted:])
     ok, val = ok.take(plan.tried, axis=1), val.take(plan.tried, axis=1)

@@ -9,6 +9,7 @@ from kmln.core import (
     ParamSet,
     assemble,
     compose,
+    disassemble,
     identity_params,
     numeric_rank,
     zero_params,
@@ -220,6 +221,22 @@ class TestMembership:
         assert mb.member
         assert mb.constants == {"D": 2 + 0j}
         assert mb.residual == 0.0
+
+    @pytest.mark.filterwarnings("error")
+    def test_tiny_near_misses_raise_no_warning(self):
+        # near 1e-152 the split solve's squares are subnormal, and no
+        # quotient may overflow on them
+        from kmln.classify import classify
+
+        rng = np.random.default_rng(50)
+        for tag in FAMILY_TAGS:
+            g = assemble(instance_params(sample_instance(tag, rng)))
+            e = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
+            g = (g + 1e-6 * np.linalg.norm(g) / np.linalg.norm(e) * e) \
+                * 1e-152
+            classify(g)
+            for split in ("NLK-1", "NLM-1"):
+                membership(split, disassemble(g))
 
     def test_split_solve_calls_no_lapack(self, monkeypatch):
         # NLK-1 and NLM-1 read A in closed form, in classify and in closure
