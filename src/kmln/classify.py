@@ -9,9 +9,10 @@ breaking ties, so the best explanation comes first.
 
 Every family is tested in one pass of the compiled membership kernel
 (families._memberships), which gives each member the constants and
-residual membership() gives it.  The pass first bounds every family's
-residual from below; a matrix that the bound rules out of every family,
-as it does a generic one, costs only that bound.
+residual membership() gives it, at any power-of-two scale of the
+matrix.  The pass first bounds every family's residual from below; a
+matrix that the bound rules out of every family, as it does a generic
+one, costs only that bound.
 
 A matrix whose largest real or imaginary part is at least 1 is first
 divided by that part's power of two, which changes only exponents, so no

@@ -31,14 +31,19 @@ candidates over distinct sources are read together and a later one over
 the same sources is a fallback; direct routes come first, and the first
 route whose sources do not vanish decides.
 
-Membership is one kernel: the rules are compiled into gathers of linear
-forms of the (16,) coordinates, and one pass over an (N, 16) stack reads
-every constant and sums every rule residual for every row and family.
-membership(), classify() and closure_check() all call it, and each row
-gets the bits it gets alone.  For classify(), which reports members only,
-the pass first bounds every family's residual from below from the same
-forms, each coefficient that holds a constant taken as a free scalar for
-its slot alone; a matrix the bound rules out of every family is read no
+Membership is one kernel: the rules are compiled into linear forms of
+the (16,) coordinates, and one pass over an (N, 16) stack reads every
+constant and takes every rule residual for every row and family.  Each
+rule slot is one form y, the target less its known terms, less one
+column per set of constants its other terms carry, times the product of
+those constants: A*k - A*m is the one column k - m, so terms that cancel
+are subtracted before any constant multiplies them.  membership(),
+classify() and closure_check() all call the kernel.  It divides each row
+by the power of two of its largest part first, so a row gets the same
+bits in any stack and at any power-of-two scale.  For classify(), which
+reports members only, the pass first bounds every family's residual from
+below from the same forms, each column taken as a free scalar for its
+slot alone; a matrix the bound rules out of every family is read no
 further.
 
 One catalog entry deserves a note: the two-constant family M-6 is stored
@@ -179,12 +184,6 @@ class Family:
         term (known, source).
         """
         return {c: _derive_routes(self.parsed, c) for c in self.constants}
-
-    @functools.cached_property
-    def coeffs(self) -> tuple:
-        """The distinct coefficient expressions of the rules, in rule order."""
-        return tuple(dict.fromkeys(coeff for terms in self.rules.values()
-                                   for coeff, _ in terms))
 
 
 @dataclass(frozen=True)
@@ -610,10 +609,6 @@ def _combine(a, terms):
 
 # None, in the kernel's tables
 _NONE = complex(math.nan, math.nan)
-# Rows with a part this large are divided by its power of two first: below
-# it the largest coefficient a read can give (about 1e26) times a part,
-# squared, stays inside the float range.
-_HUGE = 2.0 ** 400
 # The residual bound rules a family out only where it exceeds 2*tol plus
 # this slack, both relative to the parameter norm; the slack absorbs the
 # rounding of the bound and of the residual.
@@ -646,28 +641,27 @@ class _Plan(NamedTuple):
 
     catalog: tuple            # the FAMILIES entries compiled from
     names: tuple              # per family: (constant names, first column)
-    table: np.ndarray         # (1, columns): None per constant, literals
+    table: np.ndarray         # (1, columns): None per constant, then 1
     forms: tuple              # (at, coeff): the distinct linear forms
-    at0: np.ndarray           # at, padding terms reading component 0
     reads: np.ndarray         # (2, lanes): the forms w and target per lane
-    groups: tuple             # lanes (first, end) of routes of one length
+    starts: np.ndarray        # each route's first lane
     inverted: int             # the first route that reads 1/c
     tried: np.ndarray         # (tries, columns): each column's routes
     split_column: np.ndarray  # per split solve
     split_routes: np.ndarray  # (3, splits): its routes u;v, u;y and v;y
-    split_lanes: np.ndarray   # (splits, 2, 4): the lanes of u;v and u;y
+    split_forms: np.ndarray   # (2, splits, 2, 4): the forms w and target
+                              # of the lanes of u;v and u;y
     bound: np.ndarray         # the forms the bound reads, in blocks
     sizes: tuple              # the bound's plain lanes, one- and two-
                               # column slots
     bounded: np.ndarray       # (families, items): each family's bound items
-    sign: np.ndarray          # (exprs,) object: each coefficient's sign
-    factor: np.ndarray        # (width, exprs): table column of each factor
-    divides: np.ndarray       # (width, exprs)
-    signature: np.ndarray     # (exprs, 2**width): id of each unknown set
-    target: np.ndarray        # (slots, 3) components of each rule slot
-    expr: np.ndarray          # (slots, terms) coefficient of each term
-    src: np.ndarray           # (slots, terms, 3) components of each term
-    slots: np.ndarray         # (slots, families): each family's slots
+    factors: np.ndarray       # (width, multipliers): table columns
+    divides: np.ndarray       # (width, multipliers)
+    y: np.ndarray             # (lanes,): the form y of each rule lane
+    cols: np.ndarray          # (columns, lanes): the forms of its columns
+    mults: np.ndarray         # (columns, lanes): and their multipliers
+    slots: np.ndarray         # each rule slot's first lane
+    families: np.ndarray      # each family's first rule slot
 
 
 def _lanes(slot, *rows):
@@ -676,11 +670,6 @@ def _lanes(slot, *rows):
     return tuple(tuple(tuple((k, _SLOTS[s].start + i) for k, s in terms)
                        for terms in rows)
                  for i in range(_SLOTS[slot].stop - _SLOTS[slot].start))
-
-
-def _slot3(slot):
-    """A slot's components, padded to three with the zero column 16."""
-    return [*range(_SLOTS[slot].start, _SLOTS[slot].stop), 16, 16][:3]
 
 
 def _padded(rows, fill):
@@ -694,29 +683,27 @@ def _compile(catalog, tags) -> _Plan:
     """The rules of the families ``tags`` compiled into gathers.
 
     Every linear form of the component array the kernel needs is gathered
-    once: form j sums coeff[:, j] * x[at[:, j]] over a component array
-    extended by a zero column (16), which pads every sum.  Table columns
-    hold every family's constants, then the literals.
+    once: form j sums coeff[:, j] * x[at[:, j]], its padding terms reading
+    component 0 with coefficient 0.  Table columns hold every family's
+    constants, then the literal 1.
 
     Reads: the routes that read each constant lie along one axis of
-    lanes, direct routes first, each run sorted by length, every route
-    padded with zero lanes to at least 4 (a BLAS dot of fewer than 8 lanes
-    adds zero lanes exactly), so that routes of one length share one dot.
-    A split solve (target = c*u + c'*v) has three routes that read
+    lanes, direct routes first, and a route's dots are one sum over its
+    lanes.  A split solve (target = c*u + c'*v) has three routes that read
     nothing: u;v, u;y and v;y, y the target less the base.
 
-    Bound: each rule slot's target y less its known terms, and one column
-    per set of constants its other terms carry (A*k - A*m is one column
-    k - m).  ``bound`` lists, in order, the lanes of the slots without a
-    column; for the vector slots with one column (pairs y, u) and then
-    those with two (pairs u, v), the first member of each pair with its
-    lanes rotated forward, then back, and the second member likewise,
-    each block lane-major (3, pairs); then y of the two-column slots,
-    lane-major.  Other slots bound nothing.
+    Rules: each rule slot's lanes read its target y less its known terms,
+    and one column per set of constants its other terms carry (A*k - A*m
+    is one column k - m); the column's multiplier is the product of those
+    constants, each a table column that multiplies or divides (``factors``,
+    ``divides``).  Multiplier 0 is the empty product, which pads.
 
-    Coefficients: e is sign[e] times, or over (``divides``), the table
-    columns factor[:, e]; the set of factors it leaves unknown, as bits of
-    their positions, indexes its signature id, 0 for the empty set.
+    Bound: reads the same forms.  ``bound`` lists, in order, the lanes of
+    the slots without a column; for the vector slots with one column
+    (pairs y, u) and then those with two (pairs u, v), the first member of
+    each pair with its lanes rotated forward, then back, and the second
+    member likewise, each block lane-major (3, pairs); then y of the
+    two-column slots, lane-major.  Other slots bound nothing.
     """
     forms = {(): 0}
 
@@ -724,7 +711,7 @@ def _compile(catalog, tags) -> _Plan:
         return forms.setdefault(tuple(terms), len(forms))
 
     fams = [FAMILIES[tag] for tag in tags]
-    empty = _Route(False, ())
+    empty = _Route(False, (((), ()),))  # one zero lane, which never decides
     routes = {empty: None}  # an ordered set
 
     def route(inverted, lanes):
@@ -734,6 +721,7 @@ def _compile(catalog, tags) -> _Plan:
 
     names, column, tried, splits = [], {}, [], []
     plain, ones, twos = [], [], []
+    mults, lanes, slots, families = {(): 0}, [], [], []
     for f, fam in enumerate(fams):
         names.append((fam.constants, len(column)))
         for c, got in fam.routes.items():
@@ -750,6 +738,7 @@ def _compile(catalog, tags) -> _Plan:
                     raise ValueError("a split solve reads at most 4 lanes")
                 splits.append((column[f, c], *(route(False, zip(p, q))
                                for p, q in ((u, v), (u, y), (v, y)))))
+        families.append(len(slots))
         for slot, terms in fam.parsed.items():
             cols = {}
             for k, sig, src in terms:
@@ -757,24 +746,26 @@ def _compile(catalog, tags) -> _Plan:
             y = [(1, slot)] + [(-k, src) for k, src in cols.pop((), [])]
             rows = [[form(t) for t in row]
                     for row in zip(*_lanes(slot, y, *cols.values()))]
+            ids = [mults.setdefault(tuple((column[f, name], power)
+                                          for name, power in sig), len(mults))
+                   for sig in cols]
+            slots.append(len(lanes))
+            lanes += [(y, list(zip(ws, ids))) for y, *ws in zip(*rows)]
             if not cols:
                 plain += [(f, lane) for lane in rows[0]]
             elif len(rows[0]) == 3 and len(cols) <= 2:
                 (twos if len(cols) == 2 else ones).append((f, *rows))
 
-    def length(r):
-        return max(4, len(r.lanes))
-
-    order = sorted(routes, key=lambda r: (r.inverted, -length(r)))
-    place, start = {r: k for k, r in enumerate(order)}, {}
-    lanes, groups = [], []
+    order = sorted(routes, key=lambda r: r.inverted)
+    place = {r: k for k, r in enumerate(order)}
+    reads, starts = [], []
     for r in order:
-        if not groups or groups[-1][2] != length(r):
-            groups.append([len(lanes), len(lanes), length(r)])
-        start[r] = len(lanes)
-        lanes += [tuple(map(form, lane)) for lane in r.lanes]
-        lanes += [(0, 0)] * (length(r) - len(r.lanes))
-        groups[-1][1] = len(lanes)
+        starts.append(len(reads))
+        reads += [tuple(map(form, lane)) for lane in r.lanes]
+
+    def four(r):
+        return [tuple(map(form, lane)) for lane in r.lanes] \
+            + [(0, 0)] * (4 - len(r.lanes))
 
     pairs = [(y, u) for _, y, u in ones] + [(u, v) for _, _, u, v in twos]
     bound = [lane for _, lane in plain]
@@ -784,64 +775,39 @@ def _compile(catalog, tags) -> _Plan:
     bound += [y[i] for i in range(3) for _, y, _, _ in twos] + [0]
     item = [f for f, *_ in plain + ones + twos]
 
-    literals, exprs, index = {1 + 0j: 0}, [(0j, [])], {}
-    for f, fam in enumerate(fams):
-        for expr in fam.coeffs:
-            sign, factors = _parse_coeff(expr)
-            index[f, expr] = len(exprs)
-            exprs.append((sign, [
-                (column[f, token] if literal is None else
-                 len(column) + literals.setdefault(literal, len(literals)),
-                 divides, (token, -1 if divides else 1))
-                for divides, token, literal in factors]))
-    width = max(len(steps) for _, steps in exprs) or 1
-    ids = {(): 0}
-    signature = [[ids.setdefault(tuple(sorted(
-        name for j, (_, _, name) in enumerate(steps) if bits >> j & 1)),
-        len(ids)) for bits in range(2 ** width)] for _, steps in exprs]
-    steps = np.array([[step[:2] for step in s] + [(len(column), False)]
-                      * (width - len(s)) for _, s in exprs],
-                     dtype=int).reshape(-1, width, 2).T
-
-    slots, members = [], []
-    for f, fam in enumerate(fams):
-        members.append(range(len(slots), len(slots) + len(fam.rules)))
-        slots += [(_slot3(s), [(index[f, c], _slot3(src)) for c, src in ts])
-                  for s, ts in fam.rules.items()]
-    slots.append(([16] * 3, []))
-    size = max(len(ts) for _, ts in slots) or 1
-    slots = [(t, ts + [(0, [16] * 3)] * (size - len(ts))) for t, ts in slots]
-
+    width = max(map(len, mults)) or 1
+    factors = np.array([[*key] + [(len(column), 1)] * (width - len(key))
+                        for key in mults], dtype=int).reshape(-1, width, 2).T
+    size = max(len(cs) for _, cs in lanes) or 1
+    cols = np.array([cs + [(0, 0)] * (size - len(cs)) for _, cs in lanes],
+                    dtype=int).reshape(-1, size, 2).T
     size = max(map(len, forms)) or 1
-    terms = [t + ((0, 16),) * (size - len(t)) for t in forms]
+    terms = [t + ((0, 0),) * (size - len(t)) for t in forms]
     plan = _Plan(
         catalog=catalog, names=tuple(names),
-        table=np.array([[_NONE] * len(column) + list(literals)]),
+        table=np.array([[_NONE] * len(column) + [1]]),
         forms=(np.array([[c for _, c in t] for t in terms], dtype=int).T,
                np.array([[k for k, _ in t] for t in terms], dtype=complex).T),
-        at0=np.array([[c % 16 for _, c in t] for t in terms], dtype=int).T,
-        reads=np.array(lanes, dtype=int).T.copy(),
-        groups=tuple(map(tuple, groups)),
+        reads=np.array(reads, dtype=int).T.copy(),
+        starts=np.array(starts, dtype=int),
         inverted=sum(not r.inverted for r in order),
-        tried=_padded([[place[r] for r in rs] for rs in tried]
-                      + [[]] * len(literals), place[empty]).T.copy(),
+        tried=_padded([[place[r] for r in rs] for rs in tried] + [[]],
+                      place[empty]).T.copy(),
         split_column=np.array([c for c, *_ in splits], dtype=int),
         split_routes=np.array([[place[r] for r in rs] for _, *rs in splits],
                               dtype=int).reshape(-1, 3).T.copy(),
-        split_lanes=np.array([[range(start[r], start[r] + 4) for r in rs[:2]]
-                              for _, *rs in splits],
-                             dtype=int).reshape(-1, 2, 4),
+        split_forms=np.array([[four(r) for r in rs[:2]] for _, *rs in splits],
+                             dtype=int).reshape(-1, 2, 4, 2).transpose(
+                                 3, 0, 1, 2).copy(),
         bound=np.array(bound, dtype=int),
         sizes=(len(plain), len(ones), len(twos)),
         bounded=_padded([[e for e, g in enumerate(item) if g == f]
                          for f in range(len(fams))], len(item)),
-        sign=np.array([sign for sign, _ in exprs], dtype=object),
-        factor=steps[0], divides=steps[1].astype(bool),
-        signature=np.array(signature),
-        target=np.array([t for t, _ in slots]),
-        expr=np.array([[e for e, _ in ts] for _, ts in slots]),
-        src=np.array([[s for _, s in ts] for _, ts in slots]),
-        slots=_padded(members, len(slots) - 1).T.copy())
+        factors=factors[0].copy(), divides=factors[1] < 0,
+        y=np.array([y for y, _ in lanes], dtype=int),
+        cols=cols[0].copy(), mults=cols[1].copy(),
+        slots=np.array(slots, dtype=int),
+        families=np.array(families, dtype=int))
     for arr in (*plan, *plan.forms):
         if isinstance(arr, np.ndarray):
             arr.setflags(write=False)
@@ -861,25 +827,10 @@ def _plan(tags) -> _Plan:
     return plan
 
 
-def _lengths(z):
-    """np.linalg.norm over the last axis of a complex array, with its bits:
-    numpy's norm dots the strided real and imaginary views of a vector with
-    BLAS, and np.vecdot on the same views calls the same dot."""
-    parts = np.ascontiguousarray(z).view(float)
-    parts = parts.reshape(z.shape + (2,)).swapaxes(-1, -2)
-    return np.sqrt(np.vecdot(parts, parts).sum(-1))
-
-
-def _sq(z):
-    return z.real ** 2 + z.imag ** 2
-
-
 def _inverse(z):
-    """Python's own 1/z on each value (numpy's quotient rounds
-    differently), NaN where |z| is too small to invert."""
+    """1/z, NaN where |z| is too small to invert."""
     tiny = np.abs(z) <= TOL_FLOOR
-    return np.where(tiny, _NONE, (1 / np.where(tiny, 1, z).astype(
-        object)).astype(complex))
+    return np.where(tiny, _NONE, 1 / np.where(tiny, 1, z))
 
 
 def _abs2(z):
@@ -941,47 +892,29 @@ def _split_reads(plan, den, num, along, ok, rest):
         np.where(ok[:, uv], c1, _NONE)))
 
 
-def _coefficients(plan, table):
-    """Each coefficient's known part on each row as _coeff_parts gives it,
-    in Python's complex arithmetic (numpy's product fuses its multiply-adds
-    and its quotient rounds differently), and the id of its signature:
-    factors that are None, and divisors too small to invert, stay
-    unknown."""
-    f = table.take(plan.factor, axis=1)
-    skip = np.isnan(f) | (plan.divides & (np.abs(f) <= TOL_FLOOR))
-    f = np.where(skip, 1, f)
-    # a product by 1 and a quotient by 1 keep every value but the sign of a
-    # zero, which no norm sees
-    mul = np.where(plan.divides, 1, f).astype(object)
-    div = np.where(plan.divides, f, 1).astype(object)
-    known = plan.sign
-    for j in range(len(plan.factor)):
-        known = known * mul[:, j] / div[:, j]
-    bits = (skip * (1 << np.arange(len(plan.factor)))[:, None]).sum(1)
-    return known.astype(complex), plan.signature[np.arange(bits.shape[1]),
-                                                 bits]
-
-
-def _residuals(plan, xe, known, key, thr):
-    """Each family's squared rule residual on each row, summed over its
-    slots in rule order, with inf where terms sharing one unknown
-    signature do not vanish together (c*(u - v) vanishes for every c when
-    u == v)."""
-    src = xe.take(plan.src, axis=1)
-    unknown = key.any()
-    acc = ((np.where(key == 0, known, 0) if unknown else known).take(
-        plan.expr, axis=1)[..., None] * src).sum(2)
-    sq = np.float_power(_lengths(xe.take(plan.target, axis=1) - acc), 2)
-    total = sq.take(plan.slots, axis=1).sum(1)
-    if unknown:
-        # the terms of each slot grouped by their signatures
-        keys = key.take(plan.expr, axis=1)
-        pending = np.where((keys[..., None] == keys[..., None, :])[..., None],
-                           (known.take(plan.expr, axis=1)[..., None]
-                            * src)[:, :, None], 0).sum(3)
-        loose = ((keys != 0) & (_lengths(pending) > thr[:, None, None])).any(2)
-        total[loose.take(plan.slots, axis=1).any(1)] = np.inf
-    return total
+def _residuals(plan, forms, table, thr):
+    """Each family's squared rule residual on each row: on each lane, y
+    less every column times its multiplier, squared and summed over the
+    family's lanes.  A multiplier is unknown where one of its constants is
+    None or a divisor too small to invert; its column is left out, and
+    the residual is inf where that column, times the multiplier's known
+    part, does not vanish over its slot (c*(u - v) vanishes for every c
+    when u == v)."""
+    f = table.take(plan.factors, axis=1)
+    unknown = np.isnan(f) | (plan.divides & (np.abs(f) <= TOL_FLOOR))
+    f = np.where(unknown, 1, f)
+    mult = (np.where(plan.divides, 1, f).prod(1)
+            / np.where(plan.divides, f, 1).prod(1))
+    unknown = unknown.any(1).take(plan.mults, axis=1)
+    terms = mult.take(plan.mults, axis=1) * forms.take(plan.cols, axis=1)
+    r = forms.take(plan.y, axis=1) - np.where(unknown, 0, terms).sum(1)
+    # a slot's lanes, then a family's slots, are one segment each
+    sq = np.add.reduceat(_abs2(r), plan.slots, axis=1)
+    if unknown.any():
+        pending = np.add.reduceat(np.where(unknown, _abs2(terms), 0),
+                                  plan.slots, axis=2)
+        sq[(np.sqrt(pending) > thr[:, None, None]).any(1)] = np.inf
+    return np.add.reduceat(sq, plan.families, axis=1)
 
 
 class _Memberships(NamedTuple):
@@ -1001,9 +934,10 @@ class _Memberships(NamedTuple):
 
 def _memberships(a, tags, tol, members_only=False) -> _Memberships:
     """membership() of each row of a (N, 16) component array in each family
-    of ``tags``, in one pass, every row with the bits it gets alone; the
-    rows at _HUGE are taken divided by a power of two (exact), the others
-    as they are (pow's last bit depends on the exponent).
+    of ``tags``, in one pass.  Each row is first divided by the power of
+    two of its largest part, which changes only exponents, so a row's bits
+    depend neither on the stack it comes in nor on an exact power-of-two
+    scale, and no square overflows.
 
     With ``members_only``, every family's residual is first bounded from
     below (_bound), and a stack that the bound rules out of every family
@@ -1011,38 +945,30 @@ def _memberships(a, tags, tol, members_only=False) -> _Memberships:
     constant is None and each residual is the bound.
     """
     plan = _plan(tuple(tags))
-    a = np.ascontiguousarray(a, dtype=complex).reshape(-1, 16)
-    top = np.abs(a.view(float)).max(-1, initial=0.0)
-    if top.max(initial=0.0) >= _HUGE:
-        shift = np.where(top >= _HUGE, -np.frexp(top)[1], 0)
-        a = np.ldexp(a.view(float), shift[:, None]).view(complex)
-        top = np.ldexp(top, shift)
-    n = len(a)
+    a = np.ascontiguousarray(a, dtype=complex).reshape(-1, 16).view(float)
+    top = np.abs(a).max(-1, initial=0.0)
+    x = np.ldexp(a, -np.frexp(top)[1][:, None]).view(complex)
+    n = len(x)
     at, coeff = plan.forms
+    # a sum over fewer than 8 slices adds them in order, from +0, whatever
+    # the other axes
+    forms = (coeff * x.take(at, axis=1)).sum(1)
     if members_only:
-        # each row divided by its largest part t, so that its norm is at
-        # most sqrt(32) and its residual at least sqrt(bound / 32); the
-        # padding terms read component 0 with coefficient 0
-        x = a / np.maximum(top, TOL_FLOOR)[:, None]
-        bound = _bound(plan, (coeff * x.take(plan.at0, axis=1)).sum(1).take(
-            plan.bound, axis=1))
+        # the parts of x are below 1, so its norm is below sqrt(32) and its
+        # residual above sqrt(bound / 32)
+        bound = _bound(plan, forms.take(plan.bound, axis=1))
         if (bound > 32 * (2 * tol + _SLACK) ** 2).all():
             return _Memberships(np.zeros(bound.shape, dtype=bool),
                                 np.sqrt(bound / 32), plan.table.repeat(n, 0),
                                 plan.names)
-    xe = np.concatenate([a, np.zeros((n, 1), dtype=complex)], 1)
-    forms = (coeff * xe.take(at, axis=1)).sum(1)
-
-    # every route's dots and scalar (a sum over a middle axis adds its
-    # slices in order)
-    scale = np.maximum(_lengths(a), TOL_FLOOR)
+    scale = np.maximum(np.sqrt(_abs2(x).sum(1)), TOL_FLOOR)
     thr = _INDET_REL * scale
-    wy = forms.take(plan.reads, axis=1)
-    den, num = np.concatenate([
-        np.vecdot(group[:, :1], group) for group in (
-            wy[:, :, lo:hi].reshape(n, 2, (hi - lo) // length, length)
-            for lo, hi, length in plan.groups)], 2).swapaxes(0, 1)
-    den = den.real
+
+    # every route's dots, each one sum over its own lanes (np.add.reduceat
+    # adds a segment the same way wherever it lies), and its scalar
+    w, y = np.moveaxis(forms.take(plan.reads, axis=1), 1, 0)
+    den = np.add.reduceat(_abs2(w), plan.starts, axis=1)
+    num = np.add.reduceat(w.conj() * y, plan.starts, axis=1)
     ok = np.sqrt(den) > thr[:, None]
     val = num / np.where(ok, den, 1.0)
 
@@ -1052,7 +978,7 @@ def _memberships(a, tags, tol, members_only=False) -> _Memberships:
         uu = den[:, plan.split_routes[0], None]
         along = num[:, plan.split_routes[:2].T] / np.where(uu > _TINY, uu,
                                                            np.inf)
-        lanes = wy[:, :, plan.split_lanes]
+        lanes = forms.take(plan.split_forms, axis=1)
         rest = lanes[:, 1] - along[..., None] * lanes[:, 0]
         table[:, plan.split_column] = _split_reads(plan, den, num, along, ok,
                                                    rest)
@@ -1060,8 +986,7 @@ def _memberships(a, tags, tol, members_only=False) -> _Memberships:
     ok, val = ok.take(plan.tried, axis=1), val.take(plan.tried, axis=1)
     for i in range(len(plan.tried) - 1, -1, -1):
         table = np.where(ok[:, i], val[:, i], table)
-    known, key = _coefficients(plan, table)
-    residual = np.sqrt(_residuals(plan, xe, known, key, thr)) / scale[:, None]
+    residual = np.sqrt(_residuals(plan, forms, table, thr)) / scale[:, None]
     return _Memberships(residual <= tol, residual, table, plan.names)
 
 
@@ -1157,7 +1082,7 @@ def rank1_restrict(inst: FamilyInstance) -> FamilyInstance:
         # a stack of base vectors (..., 4): each is restricted on its own
         cv = np.array(cv, dtype=complex)
         vv = (cv[..., 1:] ** 2).sum(-1)
-        scale2 = np.maximum(_sq(cv).sum(-1), TOL_FLOOR)
+        scale2 = np.maximum(_abs2(cv).sum(-1), TOL_FLOOR)
         hit = np.abs(cv[..., 0] ** 2 - vv) > TOL_FLOOR * scale2
         cv[..., 0] = np.where(hit, np.sqrt(vv), cv[..., 0])
         base[name] = cv

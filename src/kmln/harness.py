@@ -27,10 +27,11 @@ single draws (one random parameter set, member or variant at a time)
 would consume them, and then evaluates them as one stack.  Each sample is
 therefore the one the single-draw loop gives, bit for bit, and the report
 does not depend on the stacking.  Family closure tests its products for
-membership as one stack too, in one pass of the membership kernel that
-gives each row the bits membership() gives it alone, and walks the
-results in loop order, so a violation names the first failing pair the
-loop would meet.
+membership as one stack too, in one pass of the membership kernel,
+whose bits for a row depend on that row alone (neither on the stack nor
+on a power-of-two scale), so each product gets what membership() gives
+it; it walks the results in loop order, so a violation names the first
+failing pair the loop would meet.
 """
 
 from __future__ import annotations

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -15,6 +16,7 @@ from kmln.core import (
     zero_params,
 )
 from kmln.families import (
+    _SLOTS,
     FAMILIES,
     FAMILY_TAGS,
     GROUP_TAGS,
@@ -23,6 +25,8 @@ from kmln.families import (
     MissingConstantError,
     UnknownTagError,
     ZeroConstantError,
+    _memberships,
+    _parse_coeff,
     closure_check,
     construct,
     descriptor,
@@ -108,6 +112,29 @@ class TestConstruct:
                 got = mb.constants[name]
                 assert got is not None, (tag, name)
                 assert abs(got - given) <= 1e-9 * max(1.0, abs(given)), (tag, name)
+
+
+def exact_residual(tag, a, constants):
+    """The rule residual of the component array a at the given constants,
+    relative to the norm of a, in 50-digit arithmetic."""
+    with mpmath.workdps(50):
+        x = [mpmath.mpc(z) for z in a.tolist()]
+        total = 0
+        for slot, terms in FAMILIES[tag].rules.items():
+            coeffs = []
+            for expr, src in terms:
+                sign, factors = _parse_coeff(expr)
+                c = mpmath.mpc(sign)
+                for divides, token, literal in factors:
+                    f = mpmath.mpc(constants[token] if literal is None
+                                   else literal)
+                    c = c / f if divides else c * f
+                coeffs.append((c, _SLOTS[src].start))
+            for i in range(_SLOTS[slot].start, _SLOTS[slot].stop):
+                lane = x[i] - sum(c * x[i - _SLOTS[slot].start + j]
+                                  for c, j in coeffs)
+                total += abs(lane) ** 2
+        return float(mpmath.sqrt(total / sum(abs(z) ** 2 for z in x)))
 
 
 class TestMembership:
@@ -238,6 +265,25 @@ class TestMembership:
             for split in ("NLK-1", "NLM-1"):
                 membership(split, disassemble(g))
 
+    @pytest.mark.parametrize("tag", ["KM-2", "KM-4", "KM-5"])
+    def test_cancelling_terms_keep_their_digits(self, tag):
+        # near members with |k - m| about 1e-7 |k| and constants near 3e5:
+        # the terms c*k and -c*m are 3e12 times the rule's sum c*(k - m)
+        rng = np.random.default_rng(64)
+        rows = []
+        for _ in range(200):
+            k, e = rng.uniform(-1, 1, (2, 4)) + 1j * rng.uniform(-1, 1, (2, 4))
+            m = k + 1e-7 * np.linalg.norm(k) / np.linalg.norm(e) * e
+            constants = {c: 3e5 * np.exp(2j * np.pi * rng.uniform())
+                         for c in FAMILIES[tag].constants}
+            a = construct(tag, constants, {"k": k, "m": m})._array
+            e = rng.uniform(-1, 1, 16) + 1j * rng.uniform(-1, 1, 16)
+            rows.append(a + 1e-9 * np.linalg.norm(a) / np.linalg.norm(e) * e)
+        got = _memberships(np.array(rows), (tag,), 1e-9)
+        for i, a in enumerate(rows):
+            want = exact_residual(tag, a, got.constants(i, [0])[0])
+            assert abs(got.residual[i, 0] - want) <= 1e-15, i
+
     def test_split_solve_calls_no_lapack(self, monkeypatch):
         # NLK-1 and NLM-1 read A in closed form, in classify and in closure
         def refuse(*args, **kwargs):
@@ -315,7 +361,9 @@ class TestClosure:
         product = compose(instance_params(exc.value.left),
                           instance_params(exc.value.right))
         got = membership("K-3", product).constants["D"]
-        assert exc.value.residual == abs(got - d)
+        # the drift is numpy's elementwise |got - d|, which rounds apart
+        # from the scalar abs() on about a third of complex values
+        assert exc.value.residual == np.abs(np.array([got]) - d)[0]
         assert exc.value.residual == pytest.approx(abs(d * d - d), rel=1e-12)
 
     def test_violation_in_the_middle_of_the_stack(self):

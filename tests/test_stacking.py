@@ -6,7 +6,9 @@ consume the random stream exactly as the loop of single draws it replaces.
 The single draws as they were written before stacking are kept here as the
 oracle, and so is membership() as it was written before the catalog was
 compiled into one kernel, with the constant reads it used (_read,
-_split_plan, _split_solve) copied as they were.
+_split_plan, _split_solve) copied as they were.  The kernel gives a row
+the same bits alone as in a stack, but its arithmetic is not the loop's:
+it is held to the loop within 1e-12 (assert_same_as_loop).
 """
 
 import dataclasses
@@ -38,7 +40,6 @@ from kmln.families import (
     _coeff_parts,
     _combine,
     _memberships,
-    _lengths,
     construct,
     descriptor,
     instance_params,
@@ -366,12 +367,17 @@ def _split_solve(a, pieces, thr):
     return None
 
 
-def loop_membership(tag, p: ParamSet, tol: float = 1e-9) -> Membership:
+def loop_membership(tag, p: ParamSet, tol: float = 1e-9,
+                    consts=None) -> Membership:
+    """membership() as the loop wrote it; with ``consts``, the residual at
+    those constants instead of the ones the loop reads."""
     fam = descriptor(tag)
     a = p._array
     scale = max(param_norm(p), TOL_FLOOR)
     thr = _INDET_REL * scale
-    consts = {name: _read(a, routes, thr) for name, routes in fam.routes.items()}
+    if consts is None:
+        consts = {name: _read(a, routes, thr)
+                  for name, routes in fam.routes.items()}
 
     total = 0.0
     feasible = True
@@ -405,50 +411,79 @@ def loop_membership(tag, p: ParamSet, tol: float = 1e-9) -> Membership:
     )
 
 
+def unit(a):
+    """A component array divided by the power of two of its largest part,
+    as the kernel takes every row first."""
+    a = np.ascontiguousarray(a, dtype=complex).view(float)
+    return np.ldexp(a, -np.frexp(np.abs(a).max(initial=0.0))[1]).view(
+        complex)
+
+
+def loop_reference(tag, a, tol=1e-9, consts=None):
+    """loop_membership of a component array as the kernel takes it, scaled
+    by a power of two: the loop floors the norm at TOL_FLOOR, so on rows
+    below it its answer depends on the scale, where the kernel's does not."""
+    return loop_membership(tag, ParamSet._own(unit(a)), tol, consts)
+
+
 def membership_bits(member, residual, constants):
     return (bool(member), float(residual).hex(),
             {name: None if c is None else (c.real.hex(), c.imag.hex())
              for name, c in constants.items()})
 
 
-# NLK-1 and NLM-1 read A by a closed-form two-column solve where the loop
-# calls LAPACK, so their digits may move; nothing else may
-SPLIT_TAGS = ("NLK-1", "NLM-1")
+def term_size(tag, a, consts):
+    """The largest rule term at the constants, relative to the norm of a
+    as the kernel takes it: the loop rounds each term it sums, so its
+    residual is good to a few eps times this."""
+    a = unit(a)
+    return max((abs(_coeff_parts(coeff, consts)[0])
+                * np.linalg.norm(a[_SLOTS[src]])
+                for terms in FAMILIES[tag].rules.values()
+                for coeff, src in terms), default=0.0) \
+        / max(np.linalg.norm(a), TOL_FLOOR)
 
 
-def assert_same_as_loop(got, want, where):
-    """A Membership against the loop's: the same bits, except that NLK-1
-    and NLM-1 need only the same member flag and indeterminate constants,
-    and on members constants within 1e-12 relative."""
-    if got.tag not in SPLIT_TAGS:
-        assert membership_bits(got.member, got.residual, got.constants) \
-            == membership_bits(want.member, want.residual,
-                               want.constants), where
-        return
+def assert_same_as_loop(got, a, tol, where):
+    """membership() of the component array ``a`` against the loop's: the
+    same member flag, None pattern and infinite residuals; on members,
+    constants within 1e-12 relative; and the residual within 1e-12 of the
+    loop's residual at the same constants, relative to the largest of 1,
+    that residual and the largest rule term.  The kernel sums each rule's
+    columns before it multiplies them (c*k - c*m as c*(k - m)) and reads
+    NLK-1 and NLM-1 in closed form where the loop calls LAPACK, so the
+    last digits move, and on an ill-conditioned non-member the two reads
+    differ.  Returns the loop's Membership."""
+    want = loop_reference(got.tag, a, tol)
+    at = loop_reference(got.tag, a, tol, got.constants)
     assert got.member == want.member, where
+    assert math.isinf(got.residual) == math.isinf(want.residual) \
+        == math.isinf(at.residual), where
+    if not math.isinf(got.residual):
+        size = max(1.0, at.residual, term_size(got.tag, a, got.constants))
+        assert abs(got.residual - at.residual) <= 1e-12 * size, where
     for name, c in want.constants.items():
         assert (got.constants[name] is None) == (c is None), (where, name)
         if want.member and c is not None:
             assert abs(got.constants[name] - c) <= 1e-12 * abs(c), \
                 (where, name)
+    return want
 
 
 def assert_membership_matches_loop(tag, stack, tol=1e-9):
-    """The kernel and the public membership() give every row the bits the
-    loop gives it (see assert_same_as_loop), and each other identical
-    bits; returns the loop's results."""
+    """The kernel gives every row of the stack the bits membership() gives
+    it alone, and what the loop gives it (see assert_same_as_loop);
+    returns the loop's results."""
     got = _memberships(stack, (tag,), tol)
     assert got.member.shape == got.residual.shape == (len(stack), 1)
     want = []
     for i, row in enumerate(stack):
-        mb = loop_membership(tag, ParamSet._own(row.copy()), tol)
         kernel = membership_bits(got.member[i, 0], got.residual[i, 0],
                                  got.constants(i, [0])[0])
         single = membership(tag, ParamSet._own(row.copy()), tol)
         assert membership_bits(single.member, single.residual,
                                single.constants) == kernel, (tag, i)
-        assert_same_as_loop(single, mb, (tag, i))
-        want.append(mb)
+        want.append(assert_same_as_loop(single, row, tol, (tag, i)))
     return want
 
 
@@ -463,9 +498,34 @@ def closure_products(tag, samples, seed, real=False):
 
 def signatures(tag, results):
     """The distinct indeterminate-factor patterns of the rows' coefficients."""
-    fam = FAMILIES[tag]
-    return {tuple(_coeff_parts(expr, mb.constants)[1] for expr in fam.coeffs)
+    return {tuple(_coeff_parts(coeff, mb.constants)[1]
+                  for terms in FAMILIES[tag].rules.values()
+                  for coeff, _ in terms)
             for mb in results}
+
+
+def mixed_stack(tag):
+    """Generic rows, members at several scales, the zero set, members with
+    one base zeroed (indeterminate constants) and members whose tied
+    vectors are shrunk until a constant read from them is too small to
+    invert, in one stack."""
+    fam = FAMILIES[tag]
+    rng = np.random.default_rng(24)
+    rows = [random_params(rng)._array, np.zeros(16, dtype=complex)]
+    for j in range(6):
+        inst = sample_instance(tag, rng)
+        a = instance_params(inst)._array
+        rows.append(a * 10.0 ** (40 * j - 100))
+        base = dict(inst.base, **{fam.bases[j % len(fam.bases)]:
+                                  np.zeros(4, dtype=complex)})
+        rows.append(construct(tag, inst.constants, base)._array)
+        tied = a.copy()
+        for v in "kmln":
+            if v not in fam.bases:
+                tied[_VEC_AT[v]] *= 1e-15
+        rows.append(tied)
+        rows.append(random_params(rng)._array)
+    return np.array(rows)
 
 
 class TestMembership:
@@ -479,27 +539,8 @@ class TestMembership:
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("tag", FAMILY_TAGS)
     def test_mixed_stack_matches_loop(self, tag):
-        # generic rows, members at several scales, the zero set, members
-        # with one base zeroed (indeterminate constants) and members whose
-        # tied vectors are shrunk until a constant read from them is too
-        # small to invert, all in one stack
         fam = FAMILIES[tag]
-        rng = np.random.default_rng(24)
-        rows = [random_params(rng)._array, np.zeros(16, dtype=complex)]
-        for j in range(6):
-            inst = sample_instance(tag, rng)
-            a = instance_params(inst)._array
-            rows.append(a * 10.0 ** (40 * j - 100))
-            base = dict(inst.base, **{fam.bases[j % len(fam.bases)]:
-                                      np.zeros(4, dtype=complex)})
-            rows.append(construct(tag, inst.constants, base)._array)
-            tied = a.copy()
-            for v in "kmln":
-                if v not in fam.bases:
-                    tied[_VEC_AT[v]] *= 1e-15
-            rows.append(tied)
-            rows.append(random_params(rng)._array)
-        results = assert_membership_matches_loop(tag, np.array(rows))
+        results = assert_membership_matches_loop(tag, mixed_stack(tag))
         if fam.constants:
             assert any(c is None for mb in results
                        for c in mb.constants.values())
@@ -507,6 +548,18 @@ class TestMembership:
             assert any(c is not None and 0 < abs(c) <= TOL_FLOOR
                        for mb in results for c in mb.constants.values())
             assert len(signatures(tag, results)) > 2
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("tag", FAMILY_TAGS)
+    def test_power_of_two_scale_keeps_the_bits(self, tag):
+        stack = mixed_stack(tag)
+        want = _memberships(stack, (tag,), 1e-9)
+        for k in (-600, -1, 1, 600):
+            scaled = np.ldexp(stack.view(float), k).view(complex)
+            got = _memberships(scaled, (tag,), 1e-9)
+            for name in ("member", "residual", "table"):
+                assert same_bits(getattr(got, name), getattr(want, name)), \
+                    (k, name)
 
     def test_rule_swapped_family_matches_loop(self, monkeypatch):
         fam = FAMILIES["K-4"]
@@ -521,18 +574,6 @@ class TestMembership:
         results = assert_membership_matches_loop("K-4", stack)
         assert all(mb.member for mb in results[:N])
         assert not any(mb.member for mb in results[N:2 * N])
-
-    @pytest.mark.parametrize("width", [1, 3, 4, 12, 16])
-    def test_norms_match_numpy(self, width):
-        # the kernel's slot and parameter norms, row by row and on a stack
-        # of stacks: np.linalg.norm of each vector, bit for bit
-        rng = np.random.default_rng(27)
-        z = (rng.standard_normal((2000, width))
-             + 1j * rng.standard_normal((2000, width))) \
-            * 10.0 ** rng.uniform(-8, 8, (2000, 1))
-        want = [np.linalg.norm(r) for r in z]
-        assert same_bits(_lengths(z), want)
-        assert same_bits(_lengths(z.reshape(40, 50, width)).ravel(), want)
 
     def test_empty_stack(self):
         got = _memberships(np.zeros((0, 16), dtype=complex), ("K-5",), 1e-9)
