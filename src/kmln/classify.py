@@ -4,22 +4,24 @@ classify() reports everything at once: numeric rank, whether the matrix is
 real, every family the matrix belongs to (with recovered constants and
 residuals) and every rank-3 variant whose zero row/column pattern it shows.
 A matrix can belong to several families at once; the zero matrix belongs to
-all of them.  Memberships are sorted by residual, with the catalog order
-breaking ties, so the best explanation comes first.
+all of them.  Member families are listed in catalog order: every member's
+residual is within tol, and most are rounding noise, so an order by
+residual would follow the last bits of the arithmetic.
 
 Every family is tested in one pass of the compiled membership kernel
 (families._memberships), which gives each member the constants and
 residual membership() gives it, at any power-of-two scale of the
 matrix.  The pass first bounds every family's residual from below; a
 matrix that the bound rules out of every family, as it does a generic
-one, costs only that bound.
+one or a near miss, costs only that bound.
 
-A matrix whose largest real or imaginary part is at least 1 is first
-divided by that part's power of two, which changes only exponents, so no
-norm or product overflows; ``scale`` is still the Frobenius norm of the
-matrix given, ``math.inf`` where that norm exceeds the float range.  The
-reality test alone also scales small matrices up, so ``real`` does not
-depend on the scale of the input at all.
+The matrix is first divided by the power of two of its largest real or
+imaginary part, up or down, which changes only exponents: no norm or
+product overflows, and every decision (rank, reality, families,
+variants) is relative to the norm with no absolute floor, so none
+depends on the scale of the input.  ``scale`` is still the Frobenius
+norm of the matrix given, ``math.inf`` where that norm exceeds the float
+range.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from kmln.core import disassemble, numeric_rank
-from kmln.families import _TAG_ORDER, FAMILY_TAGS, Membership, _memberships
+from kmln.families import FAMILY_TAGS, Membership, _memberships
 from kmln.variants import matching_variants
 
 __all__ = ["ClassReport", "classify"]
@@ -51,15 +53,6 @@ class ClassReport:
         return tuple(mb.tag for mb in self.families)
 
 
-def _is_real(parts, top, tol) -> bool:
-    """Whether the imaginary parts are within tol times the norm, decided on
-    the matrix scaled by the power of two of its largest part, up or down,
-    so that no floor makes the answer depend on scale; the zero matrix is
-    real."""
-    unit = np.ldexp(parts, -math.frexp(top)[1])
-    return bool(np.abs(unit[:, 1::2]).max() <= tol * np.linalg.norm(unit))
-
-
 def classify(g, tol: float = 1e-9) -> ClassReport:
     """Classify a 4x4 complex matrix.
 
@@ -76,10 +69,10 @@ def classify(g, tol: float = 1e-9) -> ClassReport:
     if not math.isfinite(top):
         raise ValueError("matrix contains non-finite entries")
 
-    # scaling up would move the thresholds that TOL_FLOOR bounds below
-    shift = math.frexp(top)[1] if top >= 1 else 0
-    if shift:
-        g = np.ldexp(parts, -shift).view(complex)
+    # frexp gives exponent 0 for the zero matrix: it stays zero
+    shift = math.frexp(top)[1]
+    parts = np.ldexp(parts, -shift)
+    g = parts.view(complex)
     norm = float(np.linalg.norm(g))
     try:
         scale = math.ldexp(norm, shift)
@@ -88,18 +81,14 @@ def classify(g, tol: float = 1e-9) -> ClassReport:
     p = disassemble(g)
 
     got = _memberships(p._array, FAMILY_TAGS, tol, members_only=True)
-    memberships = []
-    if got.member.any():
-        found = got.member[0].nonzero()[0].tolist()
-        memberships = sorted(
-            map(Membership, map(FAMILY_TAGS.__getitem__, found),
-                [True] * len(found), got.constants(0, found),
-                got.residual[0, found].tolist()),
-            key=lambda mb: (mb.residual, _TAG_ORDER[mb.tag]))
+    found = got.member[0].nonzero()[0].tolist()
+    memberships = map(Membership, map(FAMILY_TAGS.__getitem__, found),
+                      [True] * len(found), got.constants(0, found),
+                      got.residual[0, found].tolist())
 
     return ClassReport(
         rank=numeric_rank(g, tol),
-        real=_is_real(parts, top, tol),
+        real=bool(np.abs(parts[:, 1::2]).max() <= tol * norm),
         scale=scale,
         families=tuple(memberships),
         variants=matching_variants(g, tol),

@@ -301,6 +301,17 @@ def det_block(cv) -> complex:
     return complex(cv[0] ** 2 - cv[1:] @ cv[1:])
 
 
+def _unit(g):
+    """A stack of complex matrices (..., r, c), each divided by the power of
+    two of its largest real or imaginary part, up or down: only exponents
+    change, so no norm or SVD overflows, and a decision relative to the
+    norm needs no absolute floor.  frexp gives exponent 0 for a zero or
+    non-finite top: no scaling."""
+    parts = np.ascontiguousarray(g, dtype=complex).view(float)
+    top = np.abs(parts).max((-2, -1), keepdims=True, initial=0.0)
+    return np.ldexp(parts, -np.frexp(top)[1]).view(complex)
+
+
 def numeric_rank(g, tol: float = 1e-9):
     """Number of singular values above tol times the largest one.
 
@@ -313,12 +324,8 @@ def numeric_rank(g, tol: float = 1e-9):
     """
     if not tol > 0:
         raise ValueError("tol must be positive")
-    g = np.ascontiguousarray(g, dtype=complex)
-    parts = g.view(float)
-    top = np.abs(parts).max((-2, -1), keepdims=True, initial=0.0)
-    # frexp gives exponent 0 for a zero or non-finite top: no scaling
-    parts = np.ldexp(parts, -np.frexp(top)[1])
-    s = np.linalg.svd(parts.view(complex), compute_uv=False)
+    g = _unit(g)
+    s = np.linalg.svd(g, compute_uv=False)
     # s is non-negative, so an all-zero s counts nothing above tol * 0
     above = s > tol * s[..., :1]
     return int(np.count_nonzero(above)) if g.ndim == 2 else above.sum(-1)

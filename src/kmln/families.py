@@ -20,8 +20,8 @@ The rules are the whole entry: how each constant is recovered from a
 parameter set is derived from them (``Family.routes``).  Each term is
 parsed once into a known part and the constants it carries.  A constant
 c with a slot of the form target = base + c*u + v/c (NLK-1, NLM-1) is
-solved for c and 1/c jointly over those slots, by a closed-form
-two-column least squares.  Any other c is read by
+solved for c and 1/c jointly over those slots, from the kernel's
+Gram-Schmidt sums (below).  Any other c is read by
 least squares: the target vectors are walked in block order k, n, l, m
 (the layout [[K, N], [L, M]]); in each, the slots whose terms all carry
 exactly c form one direct candidate (target ~ c*w) and those whose terms
@@ -40,11 +40,13 @@ those constants: A*k - A*m is the one column k - m, so terms that cancel
 are subtracted before any constant multiplies them.  membership(),
 classify() and closure_check() all call the kernel.  It divides each row
 by the power of two of its largest part first, so a row gets the same
-bits in any stack and at any power-of-two scale.  For classify(), which
-reports members only, the pass first bounds every family's residual from
-below from the same forms, each column taken as a free scalar for its
-slot alone; a matrix the bound rules out of every family is read no
-further.
+bits in any stack and at any power-of-two scale.  The pass starts with
+one Gram-Schmidt over items, runs of the slots of one vector whose
+columns carry the same constants: each item's y less its least-squares
+fit by its (at most two) columns.  That bounds every family's residual
+from below, each column a free scalar for its item alone, and gives the
+split solves their sums.  For classify(), which reports members only, a
+matrix the bound rules out of every family is read no further.
 
 One catalog entry deserves a note: the two-constant family M-6 is stored
 here in the form forced by the multiplication law (the mirror image of
@@ -477,7 +479,6 @@ _CATALOG = (
 
 FAMILIES = {fam.tag: fam for fam in _CATALOG}
 FAMILY_TAGS = tuple(fam.tag for fam in _CATALOG)
-_TAG_ORDER = {tag: i for i, tag in enumerate(FAMILY_TAGS)}
 
 #: Tags whose generic members have rank exactly 2.
 RANK_TWO_TAGS = tuple(t for t in FAMILY_TAGS if FAMILIES[t].generic_rank == 2)
@@ -613,17 +614,9 @@ _NONE = complex(math.nan, math.nan)
 # this slack, both relative to the parameter norm; the slack absorbs the
 # rounding of the bound and of the residual.
 _SLACK = 1e-12
-# The two-column bound |det[u, v, y]|^2 / |u x v|^2 divides by at least
-# _PARALLEL |u|^2 |v|^2, which only lowers it: det rounds by about
-# 3.5 eps |y| |u| |v|, so the bound's rounding stays below 1e-13 of the
-# parameter norm, well inside the slack, even for nearly parallel columns.
-_PARALLEL = 1e-4
-# Squared norms at most this, on a row scaled to parts below 1, may carry
-# subnormal rounding; a bound divides by _TINY instead, which only lowers it.
+# Squared norms at most this, on a row scaled to parts below 1, count as
+# zero in a quotient, so that none overflows (see _gram_schmidt).
 _TINY = 1e-280
-# Lanes rotated forward and back: lane i of a x b is
-# a[_NEXT[i]] b[_PREV[i]] - a[_PREV[i]] b[_NEXT[i]].
-_NEXT, _PREV = (1, 2, 0), (2, 0, 1)
 
 
 class _Route(NamedTuple):
@@ -647,14 +640,12 @@ class _Plan(NamedTuple):
     starts: np.ndarray        # each route's first lane
     inverted: int             # the first route that reads 1/c
     tried: np.ndarray         # (tries, columns): each column's routes
-    split_column: np.ndarray  # per split solve
-    split_routes: np.ndarray  # (3, splits): its routes u;v, u;y and v;y
-    split_forms: np.ndarray   # (2, splits, 2, 4): the forms w and target
-                              # of the lanes of u;v and u;y
-    bound: np.ndarray         # the forms the bound reads, in blocks
-    sizes: tuple              # the bound's plain lanes, one- and two-
-                              # column slots
-    bounded: np.ndarray       # (families, items): each family's bound items
+    items: np.ndarray         # (3, lanes): the forms u, v and y per lane
+    item_at: np.ndarray       # each item's first lane
+    item_of: np.ndarray       # each lane's item
+    bounds: np.ndarray        # each family's first lane
+    split_column: np.ndarray  # per split solve: its table column
+    split_item: np.ndarray    # and its item
     factors: np.ndarray       # (width, multipliers): table columns
     divides: np.ndarray       # (width, multipliers)
     y: np.ndarray             # (lanes,): the form y of each rule lane
@@ -689,8 +680,7 @@ def _compile(catalog, tags) -> _Plan:
 
     Reads: the routes that read each constant lie along one axis of
     lanes, direct routes first, and a route's dots are one sum over its
-    lanes.  A split solve (target = c*u + c'*v) has three routes that read
-    nothing: u;v, u;y and v;y, y the target less the base.
+    lanes.
 
     Rules: each rule slot's lanes read its target y less its known terms,
     and one column per set of constants its other terms carry (A*k - A*m
@@ -698,12 +688,14 @@ def _compile(catalog, tags) -> _Plan:
     constants, each a table column that multiplies or divides (``factors``,
     ``divides``).  Multiplier 0 is the empty product, which pads.
 
-    Bound: reads the same forms.  ``bound`` lists, in order, the lanes of
-    the slots without a column; for the vector slots with one column
-    (pairs y, u) and then those with two (pairs u, v), the first member of
-    each pair with its lanes rotated forward, then back, and the second
-    member likewise, each block lane-major (3, pairs); then y of the
-    two-column slots, lane-major.  Other slots bound nothing.
+    Items: the rule lanes again, cut into runs, each the slots of one
+    vector whose columns carry the same constants (n0 and n of A*k, a
+    split solve's four lanes), so that one free scalar per column fits a
+    whole item.  A lane reads its columns u and v, the zero form where it
+    has fewer, and y; an item with more than two columns reads zero forms
+    and bounds nothing.  A split solve (target = base + c*u + v/c) reads
+    c and 1/c from the item that holds its slots: one item, c's column
+    first.
     """
     forms = {(): 0}
 
@@ -720,8 +712,8 @@ def _compile(catalog, tags) -> _Plan:
         return r
 
     names, column, tried, splits = [], {}, [], []
-    plain, ones, twos = [], [], []
-    mults, lanes, slots, families = {(): 0}, [], [], []
+    mults, lanes, slots, families, bounds = {(): 0}, [], [], [], []
+    items, item_at, keys, item = [], [], [], {}
     for f, fam in enumerate(fams):
         names.append((fam.constants, len(column)))
         for c, got in fam.routes.items():
@@ -731,14 +723,11 @@ def _compile(catalog, tags) -> _Plan:
                 if power:
                     tried[-1].append(route(power < 0, sum(
                         (_lanes(t, ts, [(1, t)]) for t, ts in pieces), ())))
-                    continue
-                u, v, y = zip(*sum((_lanes(t, [d], [i], [(1, t), (-k, b)])
-                                    for t, (k, b), d, i in pieces), ()))
-                if len(u) > 4:
-                    raise ValueError("a split solve reads at most 4 lanes")
-                splits.append((column[f, c], *(route(False, zip(p, q))
-                               for p, q in ((u, v), (u, y), (v, y)))))
+                else:
+                    splits.append((column[f, c], c,
+                                   {(f, t) for t, *_ in pieces}))
         families.append(len(slots))
+        bounds.append(len(lanes))
         for slot, terms in fam.parsed.items():
             cols = {}
             for k, sig, src in terms:
@@ -751,10 +740,19 @@ def _compile(catalog, tags) -> _Plan:
                    for sig in cols]
             slots.append(len(lanes))
             lanes += [(y, list(zip(ws, ids))) for y, *ws in zip(*rows)]
-            if not cols:
-                plain += [(f, lane) for lane in rows[0]]
-            elif len(rows[0]) == 3 and len(cols) <= 2:
-                (twos if len(cols) == 2 else ones).append((f, *rows))
+            if not keys or keys[-1] != (f, slot[0], *cols):
+                keys.append((f, slot[0], *cols))
+                item_at.append(len(items))
+            item[f, slot] = len(item_at) - 1
+            zero = [0] * len(rows[0])
+            uvy = (rows[1:] + [zero, zero])[:2] + rows[:1]
+            items += zip(*uvy) if len(cols) <= 2 else zip(zero, zero, zero)
+    split_item = []
+    for _, c, targets in splits:
+        at = {item[t] for t in targets}
+        if len(at) > 1 or keys[min(at)][2:] != (((c, 1),), ((c, -1),)):
+            raise ValueError(f"{c}: a split solve reads one item, c first")
+        split_item += at
 
     order = sorted(routes, key=lambda r: r.inverted)
     place = {r: k for k, r in enumerate(order)}
@@ -762,18 +760,6 @@ def _compile(catalog, tags) -> _Plan:
     for r in order:
         starts.append(len(reads))
         reads += [tuple(map(form, lane)) for lane in r.lanes]
-
-    def four(r):
-        return [tuple(map(form, lane)) for lane in r.lanes] \
-            + [(0, 0)] * (4 - len(r.lanes))
-
-    pairs = [(y, u) for _, y, u in ones] + [(u, v) for _, _, u, v in twos]
-    bound = [lane for _, lane in plain]
-    for side in (0, 1):
-        for turn in (_NEXT, _PREV):
-            bound += [pair[side][turn[i]] for i in range(3) for pair in pairs]
-    bound += [y[i] for i in range(3) for _, y, _, _ in twos] + [0]
-    item = [f for f, *_ in plain + ones + twos]
 
     width = max(map(len, mults)) or 1
     factors = np.array([[*key] + [(len(column), 1)] * (width - len(key))
@@ -793,16 +779,13 @@ def _compile(catalog, tags) -> _Plan:
         inverted=sum(not r.inverted for r in order),
         tried=_padded([[place[r] for r in rs] for rs in tried] + [[]],
                       place[empty]).T.copy(),
-        split_column=np.array([c for c, *_ in splits], dtype=int),
-        split_routes=np.array([[place[r] for r in rs] for _, *rs in splits],
-                              dtype=int).reshape(-1, 3).T.copy(),
-        split_forms=np.array([[four(r) for r in rs[:2]] for _, *rs in splits],
-                             dtype=int).reshape(-1, 2, 4, 2).transpose(
-                                 3, 0, 1, 2).copy(),
-        bound=np.array(bound, dtype=int),
-        sizes=(len(plain), len(ones), len(twos)),
-        bounded=_padded([[e for e, g in enumerate(item) if g == f]
-                         for f in range(len(fams))], len(item)),
+        items=np.array(items, dtype=int).reshape(-1, 3).T.copy(),
+        item_at=np.array(item_at, dtype=int),
+        item_of=np.repeat(np.arange(len(item_at)),
+                          np.diff(item_at + [len(items)])),
+        bounds=np.array(bounds, dtype=int),
+        split_column=np.array([col for col, *_ in splits], dtype=int),
+        split_item=np.array(split_item, dtype=int),
         factors=factors[0].copy(), divides=factors[1] < 0,
         y=np.array([y for y, _ in lanes], dtype=int),
         cols=cols[0].copy(), mults=cols[1].copy(),
@@ -837,59 +820,62 @@ def _abs2(z):
     return (z * z.conj()).real
 
 
-def _bound(plan, lin):
-    """A lower bound on each family's squared rule residual on each row,
-    from the forms ``bound`` of a row: each coefficient that holds a
-    constant becomes a free complex scalar for its slot alone, so the
-    residual at any constants, the ones the kernel reads included, is at
-    least the sum over the slots of their least-squares residuals over
-    those scalars.  Scalar slots with a column and slots with more than
-    two add nothing."""
-    n = len(lin)
-    p, k1, k2 = plan.sizes
-    r1 = p + 12 * (k1 + k2)
-    lsq = _abs2(lin)
-    blocks = lin[:, p:r1].reshape(n, 4, 3, -1)
-    norms = lsq[:, p:r1].reshape(n, 4, 3, -1).sum(2)
-    cross = blocks[:, 0] * blocks[:, 3] - blocks[:, 1] * blocks[:, 2]
-    cc = _abs2(cross).sum(1)
-    # one column u: min over c of |y - c u|^2 = |y x u|^2 / |u|^2 (the
-    # Lagrange identity, free of cancellation)
-    one = cc[:, :k1] / np.maximum(norms[:, 2, :k1], _TINY)
-    # two columns u, v: the distance from y to span(u, v) is
-    # |det[u, v, y]| / |u x v| (see _PARALLEL)
-    det = (lin[:, r1:-1].reshape(n, 3, -1) * cross[:, :, k1:]).sum(1)
-    two = _abs2(det) / (np.maximum(cc[:, k1:], _PARALLEL * norms[:, 0, k1:]
-                                * norms[:, 2, k1:]) + _TINY)
-    # the last form of ``bound`` is the zero form: it pads ``bounded``
-    items = np.concatenate([lsq[:, :p], one, two, lsq[:, -1:]], 1)
-    return items.take(plan.bounded, axis=1).sum(2)
+def _gram_schmidt(plan, forms):
+    """Least squares of each item's y on its columns u and v, over the
+    item's lanes, by Gram-Schmidt: y' and v' are y and v less their parts
+    along u, and y'' is y' less its part along v'.  Each lane's quotients
+    are its item's, spread back by ``item_of``.
+
+    Returns the sums u.(u, v, y) and v'.(v', y') of every item, and each
+    family's lower bound on its squared rule residual: |y''|^2 over all
+    its lanes.  Each column's multiplier becomes a free complex scalar
+    for its item alone, so the residual at any constants, the ones the
+    kernel reads included, is at least that.  A squared norm at most
+    _TINY divides by inf: its column is below 1e-140 on a row whose parts
+    are below 1, and the constants the kernel reads, quotients over
+    sources above 1e-12 of the norm, are not large enough to make it
+    count."""
+    uvy = forms.take(plan.items, axis=1)
+    u = uvy[:, :1]
+    first = np.add.reduceat(u.conj() * uvy, plan.item_at, axis=2)
+    uu = first[:, :1].real
+    rest = uvy[:, 1:] - (first[:, 1:] / np.where(uu > _TINY, uu, np.inf)
+                         ).take(plan.item_of, axis=2) * u
+    v = rest[:, :1]
+    second = np.add.reduceat(v.conj() * rest, plan.item_at, axis=2)
+    vv = second[:, 0].real
+    y = rest[:, 1] - (second[:, 1] / np.where(vv > _TINY, vv, np.inf)
+                      ).take(plan.item_of, axis=1) * rest[:, 0]
+    return first, second, np.add.reduceat(_abs2(y), plan.bounds, axis=1)
 
 
-def _split_reads(plan, den, num, along, ok, rest):
+def _split_reads(plan, first, second, thr):
     """Each split solve's constant on each row (NaN for None), from the
-    coefficients ``along`` u of v and y and what ``rest`` of them: (c, c')
-    by least squares, Gram-Schmidt, whose error grows with the condition
-    of [u, v], not its square; where lstsq's cut-off deems [u, v] of rank
+    Gram-Schmidt sums of its item, u the column of c and v that of c':
+    (c, c') by least squares, whose error grows with the condition of
+    [u, v], not its square; where lstsq's cut-off deems [u, v] of rank
     one, the minimum-norm solution [u.y, v.y] / (|u|^2 + |v|^2).  c
     decides where u does not vanish and c is not tiny, then 1/c' where v
     does not vanish and c' is not tiny, then c where u does not vanish."""
-    uv, uy, vy = plan.split_routes
-    uu, vv = den[:, uv], den[:, vy]
-    rvv, rvy = np.moveaxis(np.vecdot(rest[:, :, :1], rest), -1, 0)
-    rvv, both = rvv.real, uu + vv
+    uu, uv, uy = first[:, :, plan.split_item].transpose(1, 0, 2)
+    rvv, rvy = second[:, :, plan.split_item].transpose(1, 0, 2)
+    uu, rvv = uu.real, rvv.real
+    along = np.where(uu > _TINY, uu, np.inf)
+    # v and y are v' and y' plus their parts along u
+    vv = rvv + _abs2(uv) / along
+    vy = rvy + uv.conj() * uy / along
+    both = uu + vv
     full = np.sqrt(uu) * np.sqrt(rvv) > 4 * np.finfo(float).eps * both
-    # a square below _TINY (a vector under 1e-140) divides by inf instead,
-    # since it could overflow the quotient: then no quotient decides, or
+    # a square below _TINY divides by inf: then no quotient decides, or
     # the vector is negligible against one that does
     even = np.where(both > _TINY, both, np.inf)
     c2 = np.where(full, rvy / np.where(full & (rvv > _TINY), rvv, np.inf),
-                  num[:, vy] / even)
-    c1 = np.where(full, along[..., 1] - along[..., 0] * c2,
-                  num[:, uy] / even)
-    return np.where(ok[:, uv] & (np.abs(c1) > TOL_FLOOR), c1, np.where(
-        ok[:, vy] & (np.abs(c2) > TOL_FLOOR), _inverse(c2),
-        np.where(ok[:, uv], c1, _NONE)))
+                  vy / even)
+    c1 = np.where(full, uy / along - uv / along * c2, uy / even)
+    ok_u, ok_v = np.sqrt(uu) > thr[:, None], np.sqrt(vv) > thr[:, None]
+    return np.where(ok_u & (np.abs(c1) > TOL_FLOOR), c1, np.where(
+        ok_v & (np.abs(c2) > TOL_FLOOR), _inverse(c2),
+        np.where(ok_u, c1, _NONE)))
 
 
 def _residuals(plan, forms, table, thr):
@@ -939,10 +925,11 @@ def _memberships(a, tags, tol, members_only=False) -> _Memberships:
     depend neither on the stack it comes in nor on an exact power-of-two
     scale, and no square overflows.
 
-    With ``members_only``, every family's residual is first bounded from
-    below (_bound), and a stack that the bound rules out of every family
-    (above 2*tol plus _SLACK) is read no further: no flag is set, every
-    constant is None and each residual is the bound.
+    The Gram-Schmidt pass over the items (_gram_schmidt) comes first: it
+    bounds every family's residual from below, and gives the split solves
+    their sums.  With ``members_only``, a stack that the bound rules out
+    of every family (above 2*tol plus _SLACK) is read no further: no flag
+    is set, every constant is None and each residual is the bound.
     """
     plan = _plan(tuple(tags))
     a = np.ascontiguousarray(a, dtype=complex).reshape(-1, 16).view(float)
@@ -953,14 +940,13 @@ def _memberships(a, tags, tol, members_only=False) -> _Memberships:
     # a sum over fewer than 8 slices adds them in order, from +0, whatever
     # the other axes
     forms = (coeff * x.take(at, axis=1)).sum(1)
-    if members_only:
-        # the parts of x are below 1, so its norm is below sqrt(32) and its
-        # residual above sqrt(bound / 32)
-        bound = _bound(plan, forms.take(plan.bound, axis=1))
-        if (bound > 32 * (2 * tol + _SLACK) ** 2).all():
-            return _Memberships(np.zeros(bound.shape, dtype=bool),
-                                np.sqrt(bound / 32), plan.table.repeat(n, 0),
-                                plan.names)
+    first, second, bound = _gram_schmidt(plan, forms)
+    # the parts of x are below 1, so its norm is below sqrt(32) and its
+    # residual above sqrt(bound / 32)
+    if members_only and (bound > 32 * (2 * tol + _SLACK) ** 2).all():
+        return _Memberships(np.zeros(bound.shape, dtype=bool),
+                            np.sqrt(bound / 32), plan.table.repeat(n, 0),
+                            plan.names)
     scale = np.maximum(np.sqrt(_abs2(x).sum(1)), TOL_FLOOR)
     thr = _INDET_REL * scale
 
@@ -974,14 +960,7 @@ def _memberships(a, tags, tol, members_only=False) -> _Memberships:
 
     table = plan.table.repeat(n, 0)
     if len(plan.split_column):
-        # v and y less their u parts (see _split_reads on _TINY)
-        uu = den[:, plan.split_routes[0], None]
-        along = num[:, plan.split_routes[:2].T] / np.where(uu > _TINY, uu,
-                                                           np.inf)
-        lanes = forms.take(plan.split_forms, axis=1)
-        rest = lanes[:, 1] - along[..., None] * lanes[:, 0]
-        table[:, plan.split_column] = _split_reads(plan, den, num, along, ok,
-                                                   rest)
+        table[:, plan.split_column] = _split_reads(plan, first, second, thr)
     val[:, plan.inverted:] = _inverse(val[:, plan.inverted:])
     ok, val = ok.take(plan.tried, axis=1), val.take(plan.tried, axis=1)
     for i in range(len(plan.tried) - 1, -1, -1):

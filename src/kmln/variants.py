@@ -22,6 +22,7 @@ from kmln.core import (
     TOL_FLOOR,
     ParamSet,
     _as_components,
+    _unit,
     assemble,
     disassemble,
     random_params,
@@ -180,9 +181,11 @@ def construct_variant(vid, p):
 
 def _lines_vanish(vid, g, tol):
     """variant_membership over a stack of matrices (..., 4, 4): a boolean
-    array of shape (...)."""
+    array of shape (...), each matrix scaled by core._unit and decided
+    against tol times its norm, with no absolute floor."""
     i, j = vid
-    thr = np.maximum(tol * np.linalg.norm(g, axis=(-2, -1)), TOL_FLOOR)
+    g = _unit(g)
+    thr = tol * np.linalg.norm(g, axis=(-2, -1))
     row = np.linalg.norm(g[..., i, :], axis=-1)
     col = np.linalg.norm(g[..., :, j], axis=-1)
     return (row <= thr) & (col <= thr)
@@ -200,13 +203,16 @@ def variant_membership(vid, g, tol: float = 1e-9) -> bool:
 def matching_variants(g, tol: float = 1e-9):
     """All variant ids the matrix belongs to, in row-major order.
 
-    The test of variant_membership for every id at once: the threshold and
-    the squared norms of the rows and columns are computed one time each.
+    The test of variant_membership for every id at once, on the matrix
+    divided by the power of two of its largest part (core._unit), so
+    with no absolute floor: the threshold and the squared norms of the
+    rows and columns are computed one time each.
     """
     g = np.asarray(g, dtype=complex)
     if g.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {g.shape}")
-    thr = max(tol * float(np.linalg.norm(g)), TOL_FLOOR)
+    g = _unit(g)
+    thr = tol * float(np.linalg.norm(g))
     sq = g.real ** 2 + g.imag ** 2
     row = (sq.sum(1) <= thr * thr).tolist()
     col = (sq.sum(0) <= thr * thr).tolist()
