@@ -69,8 +69,6 @@ __all__ = [
     "param_norm",
     "identity_params",
     "zero_params",
-    "random_cvec4",
-    "random_real_cvec4",
     "random_params",
     "random_real_params",
 ]
@@ -383,8 +381,7 @@ _DRAWS = {False: 8, True: 5}
 
 def _cvec4_from_draws(x, real: bool = False) -> np.ndarray:
     """CVec4s, shape (..., 4), from uniform draws of shape (..., 8) or,
-    with real, (..., 5), in the order random_cvec4 or random_real_cvec4
-    uses them."""
+    with real, (..., 5), in the order the _DRAWS comment gives."""
     if real:
         cv = x[..., :4].astype(complex)
         cv[..., 2] = 1j * x[..., 4]
@@ -394,16 +391,6 @@ def _cvec4_from_draws(x, real: bool = False) -> np.ndarray:
 
 def _shape(size) -> tuple:
     return () if size is None else tuple(np.atleast_1d(size).tolist())
-
-
-def random_cvec4(rng: np.random.Generator) -> np.ndarray:
-    """CVec4 with real and imaginary parts drawn uniformly from [-1, 1]."""
-    return _cvec4_from_draws(rng.uniform(-1, 1, 8))
-
-
-def random_real_cvec4(rng: np.random.Generator) -> np.ndarray:
-    """CVec4 satisfying the reality pattern: component 2 imaginary, rest real."""
-    return _cvec4_from_draws(rng.uniform(-1, 1, 5), real=True)
 
 
 def _random_components(rng, size, real):

@@ -45,8 +45,10 @@ one Gram-Schmidt over items, runs of the slots of one vector whose
 columns carry the same constants: each item's y less its least-squares
 fit by its (at most two) columns.  That bounds every family's residual
 from below, each column a free scalar for its item alone, and gives the
-split solves their sums.  For classify(), which reports members only, a
-matrix the bound rules out of every family is read no further.
+split solves their sums.  Its lane products |u|^2 and u*.y give every
+other read too: a route's lanes are rule lanes whose one column is its
+w and whose y is its target.  For classify(), which reports members
+only, a matrix the bound rules out of every family is read no further.
 
 One catalog entry deserves a note: the two-constant family M-6 is stored
 here in the form forced by the multiplication law (the mirror image of
@@ -619,16 +621,6 @@ _SLACK = 1e-12
 _TINY = 1e-280
 
 
-class _Route(NamedTuple):
-    """A least-squares read along lanes, each (w terms, target terms), a
-    term (known, component): c ~ target.w / w.w, or the inverse of that
-    when ``inverted``.  Families and constants that need the same route
-    share it."""
-
-    inverted: bool
-    lanes: tuple
-
-
 class _Plan(NamedTuple):
     """Some families' rules compiled into gathers (see _compile)."""
 
@@ -636,10 +628,11 @@ class _Plan(NamedTuple):
     names: tuple              # per family: (constant names, first column)
     table: np.ndarray         # (1, columns): None per constant, then 1
     forms: tuple              # (at, coeff): the distinct linear forms
-    reads: np.ndarray         # (2, lanes): the forms w and target per lane
-    starts: np.ndarray        # each route's first lane
-    inverted: int             # the first route that reads 1/c
-    tried: np.ndarray         # (tries, columns): each column's routes
+    routes: np.ndarray        # each route's item lanes, route after route
+    route_at: np.ndarray      # each route's first entry in ``routes``
+    column: np.ndarray        # each route's table column
+    inverted: np.ndarray      # whether each route reads 1/c
+    tries: tuple              # per try: its routes, as one slice
     items: np.ndarray         # (3, lanes): the forms u, v and y per lane
     item_at: np.ndarray       # each item's first lane
     item_of: np.ndarray       # each lane's item
@@ -663,13 +656,6 @@ def _lanes(slot, *rows):
                  for i in range(_SLOTS[slot].stop - _SLOTS[slot].start))
 
 
-def _padded(rows, fill):
-    """Lists of ints as one array, each padded to the longest."""
-    size = max(map(len, rows), default=0) or 1
-    return np.array([[*r] + [fill] * (size - len(r)) for r in rows],
-                    dtype=int).reshape(len(rows), size)
-
-
 def _compile(catalog, tags) -> _Plan:
     """The rules of the families ``tags`` compiled into gathers.
 
@@ -678,9 +664,11 @@ def _compile(catalog, tags) -> _Plan:
     component 0 with coefficient 0.  Table columns hold every family's
     constants, then the literal 1.
 
-    Reads: the routes that read each constant lie along one axis of
-    lanes, direct routes first, and a route's dots are one sum over its
-    lanes.
+    Reads: a route is the rule lanes of its pieces, each with one column
+    w (the terms that carry c, or 1/c) and y its bare target, so that its
+    dots w.w and w.y are the Gram-Schmidt lane products |u|^2 and u*.y
+    summed over its lanes.  Routes lie try after try, each try one slice
+    of routes with its table columns.
 
     Rules: each rule slot's lanes read its target y less its known terms,
     and one column per set of constants its other terms carry (A*k - A*m
@@ -703,31 +691,16 @@ def _compile(catalog, tags) -> _Plan:
         return forms.setdefault(tuple(terms), len(forms))
 
     fams = [FAMILIES[tag] for tag in tags]
-    empty = _Route(False, (((), ()),))  # one zero lane, which never decides
-    routes = {empty: None}  # an ordered set
-
-    def route(inverted, lanes):
-        r = _Route(inverted, tuple(lanes))
-        routes[r] = None
-        return r
-
-    names, column, tried, splits = [], {}, [], []
+    names, column, routes, splits = [], {}, {}, []
     mults, lanes, slots, families, bounds = {(): 0}, [], [], [], []
     items, item_at, keys, item = [], [], [], {}
     for f, fam in enumerate(fams):
         names.append((fam.constants, len(column)))
-        for c, got in fam.routes.items():
+        for c in fam.constants:
             column[f, c] = len(column)
-            tried.append([])
-            for power, pieces in got:
-                if power:
-                    tried[-1].append(route(power < 0, sum(
-                        (_lanes(t, ts, [(1, t)]) for t, ts in pieces), ())))
-                else:
-                    splits.append((column[f, c], c,
-                                   {(f, t) for t, *_ in pieces}))
         families.append(len(slots))
         bounds.append(len(lanes))
+        slot_lanes = {}
         for slot, terms in fam.parsed.items():
             cols = {}
             for k, sig, src in terms:
@@ -740,6 +713,7 @@ def _compile(catalog, tags) -> _Plan:
                    for sig in cols]
             slots.append(len(lanes))
             lanes += [(y, list(zip(ws, ids))) for y, *ws in zip(*rows)]
+            slot_lanes[slot] = range(slots[-1], len(lanes))
             if not keys or keys[-1] != (f, slot[0], *cols):
                 keys.append((f, slot[0], *cols))
                 item_at.append(len(items))
@@ -747,6 +721,15 @@ def _compile(catalog, tags) -> _Plan:
             zero = [0] * len(rows[0])
             uvy = (rows[1:] + [zero, zero])[:2] + rows[:1]
             items += zip(*uvy) if len(cols) <= 2 else zip(zero, zero, zero)
+        for c, got in fam.routes.items():
+            for i, (power, pieces) in enumerate(got):
+                if power:
+                    routes.setdefault(i, []).append((
+                        column[f, c], power < 0,
+                        [k for t, _ in pieces for k in slot_lanes[t]]))
+                else:
+                    splits.append((column[f, c], c,
+                                   {(f, t) for t, *_ in pieces}))
     split_item = []
     for _, c, targets in splits:
         at = {item[t] for t in targets}
@@ -754,13 +737,11 @@ def _compile(catalog, tags) -> _Plan:
             raise ValueError(f"{c}: a split solve reads one item, c first")
         split_item += at
 
-    order = sorted(routes, key=lambda r: r.inverted)
-    place = {r: k for k, r in enumerate(order)}
-    reads, starts = [], []
-    for r in order:
-        starts.append(len(reads))
-        reads += [tuple(map(form, lane)) for lane in r.lanes]
-
+    # try after try (try i enters the dict after try i - 1), so that each
+    # try's routes are one slice
+    tries = list(routes.values())
+    routes = [r for rs in tries for r in rs]
+    edges = np.cumsum([0] + list(map(len, tries))).tolist()
     width = max(map(len, mults)) or 1
     factors = np.array([[*key] + [(len(column), 1)] * (width - len(key))
                         for key in mults], dtype=int).reshape(-1, width, 2).T
@@ -771,14 +752,14 @@ def _compile(catalog, tags) -> _Plan:
     terms = [t + ((0, 0),) * (size - len(t)) for t in forms]
     plan = _Plan(
         catalog=catalog, names=tuple(names),
-        table=np.array([[_NONE] * len(column) + [1]]),
+        table=np.array([[_NONE] * len(column) + [1]], dtype=complex),
         forms=(np.array([[c for _, c in t] for t in terms], dtype=int).T,
                np.array([[k for k, _ in t] for t in terms], dtype=complex).T),
-        reads=np.array(reads, dtype=int).T.copy(),
-        starts=np.array(starts, dtype=int),
-        inverted=sum(not r.inverted for r in order),
-        tried=_padded([[place[r] for r in rs] for rs in tried] + [[]],
-                      place[empty]).T.copy(),
+        routes=np.array([k for *_, ks in routes for k in ks], dtype=int),
+        route_at=np.cumsum([0] + [len(ks) for *_, ks in routes])[:-1],
+        column=np.array([col for col, _, _ in routes], dtype=int),
+        inverted=np.array([inv for _, inv, _ in routes], dtype=bool),
+        tries=tuple(map(slice, edges, edges[1:])),
         items=np.array(items, dtype=int).reshape(-1, 3).T.copy(),
         item_at=np.array(item_at, dtype=int),
         item_of=np.repeat(np.arange(len(item_at)),
@@ -826,18 +807,19 @@ def _gram_schmidt(plan, forms):
     along u, and y'' is y' less its part along v'.  Each lane's quotients
     are its item's, spread back by ``item_of``.
 
-    Returns the sums u.(u, v, y) and v'.(v', y') of every item, and each
-    family's lower bound on its squared rule residual: |y''|^2 over all
-    its lanes.  Each column's multiplier becomes a free complex scalar
-    for its item alone, so the residual at any constants, the ones the
-    kernel reads included, is at least that.  A squared norm at most
-    _TINY divides by inf: its column is below 1e-140 on a row whose parts
-    are below 1, and the constants the kernel reads, quotients over
-    sources above 1e-12 of the norm, are not large enough to make it
-    count."""
+    Returns the lane products u*.(u, v, y), their sums over every item,
+    the sums v'.(v', y') of every item, and each family's lower bound on
+    its squared rule residual: |y''|^2 over all its lanes.  Each column's
+    multiplier becomes a free complex scalar for its item alone, so the
+    residual at any constants, the ones the kernel reads included, is at
+    least that.  A squared norm at most _TINY divides by inf: its column
+    is below 1e-140 on a row whose parts are below 1, and the constants
+    the kernel reads, quotients over sources above 1e-12 of the norm, are
+    not large enough to make it count."""
     uvy = forms.take(plan.items, axis=1)
     u = uvy[:, :1]
-    first = np.add.reduceat(u.conj() * uvy, plan.item_at, axis=2)
+    dots = u.conj() * uvy
+    first = np.add.reduceat(dots, plan.item_at, axis=2)
     uu = first[:, :1].real
     rest = uvy[:, 1:] - (first[:, 1:] / np.where(uu > _TINY, uu, np.inf)
                          ).take(plan.item_of, axis=2) * u
@@ -846,7 +828,8 @@ def _gram_schmidt(plan, forms):
     vv = second[:, 0].real
     y = rest[:, 1] - (second[:, 1] / np.where(vv > _TINY, vv, np.inf)
                       ).take(plan.item_of, axis=1) * rest[:, 0]
-    return first, second, np.add.reduceat(_abs2(y), plan.bounds, axis=1)
+    return dots, first, second, np.add.reduceat(_abs2(y), plan.bounds,
+                                                axis=1)
 
 
 def _split_reads(plan, first, second, thr):
@@ -926,10 +909,11 @@ def _memberships(a, tags, tol, members_only=False) -> _Memberships:
     scale, and no square overflows.
 
     The Gram-Schmidt pass over the items (_gram_schmidt) comes first: it
-    bounds every family's residual from below, and gives the split solves
-    their sums.  With ``members_only``, a stack that the bound rules out
-    of every family (above 2*tol plus _SLACK) is read no further: no flag
-    is set, every constant is None and each residual is the bound.
+    bounds every family's residual from below, gives the split solves
+    their sums, and its lane products give every route its dots.  With
+    ``members_only``, a stack that the bound rules out of every family
+    (above 2*tol plus _SLACK) is read no further: no flag is set, every
+    constant is None and each residual is the bound.
     """
     plan = _plan(tuple(tags))
     a = np.ascontiguousarray(a, dtype=complex).reshape(-1, 16).view(float)
@@ -940,7 +924,7 @@ def _memberships(a, tags, tol, members_only=False) -> _Memberships:
     # a sum over fewer than 8 slices adds them in order, from +0, whatever
     # the other axes
     forms = (coeff * x.take(at, axis=1)).sum(1)
-    first, second, bound = _gram_schmidt(plan, forms)
+    dots, first, second, bound = _gram_schmidt(plan, forms)
     # the parts of x are below 1, so its norm is below sqrt(32) and its
     # residual above sqrt(bound / 32)
     if members_only and (bound > 32 * (2 * tol + _SLACK) ** 2).all():
@@ -950,21 +934,24 @@ def _memberships(a, tags, tol, members_only=False) -> _Memberships:
     scale = np.maximum(np.sqrt(_abs2(x).sum(1)), TOL_FLOOR)
     thr = _INDET_REL * scale
 
-    # every route's dots, each one sum over its own lanes (np.add.reduceat
-    # adds a segment the same way wherever it lies), and its scalar
-    w, y = np.moveaxis(forms.take(plan.reads, axis=1), 1, 0)
-    den = np.add.reduceat(_abs2(w), plan.starts, axis=1)
-    num = np.add.reduceat(w.conj() * y, plan.starts, axis=1)
+    # every route's dots w.w and w.y from the lane products, each one sum
+    # over its own lanes (np.add.reduceat adds a segment the same way
+    # wherever it lies), and its scalar
+    den = np.add.reduceat(dots[:, 0].real.take(plan.routes, axis=1),
+                          plan.route_at, axis=1)
+    num = np.add.reduceat(dots[:, 2].take(plan.routes, axis=1),
+                          plan.route_at, axis=1)
     ok = np.sqrt(den) > thr[:, None]
     val = num / np.where(ok, den, 1.0)
+    val = np.where(plan.inverted, _inverse(val), val)
 
     table = plan.table.repeat(n, 0)
     if len(plan.split_column):
         table[:, plan.split_column] = _split_reads(plan, first, second, thr)
-    val[:, plan.inverted:] = _inverse(val[:, plan.inverted:])
-    ok, val = ok.take(plan.tried, axis=1), val.take(plan.tried, axis=1)
-    for i in range(len(plan.tried) - 1, -1, -1):
-        table = np.where(ok[:, i], val[:, i], table)
+    # the first route of a column whose w does not vanish decides
+    for tried in reversed(plan.tries):
+        col = plan.column[tried]
+        table[:, col] = np.where(ok[:, tried], val[:, tried], table[:, col])
     residual = np.sqrt(_residuals(plan, forms, table, thr)) / scale[:, None]
     return _Memberships(residual <= tol, residual, table, plan.names)
 

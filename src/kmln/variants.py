@@ -179,16 +179,24 @@ def construct_variant(vid, p):
     return disassemble(g)
 
 
+def _vanishing_lines(g, tol):
+    """Which rows and which columns of each matrix of a stack (..., 4, 4)
+    vanish, as two boolean (..., 4) arrays.  Each matrix is divided by the
+    power of two of its largest part (core._unit), and a line vanishes
+    where its squared norm is at most tol**2 times the matrix's, with no
+    absolute floor."""
+    g = _unit(g)
+    sq = g.real ** 2 + g.imag ** 2
+    thr = tol * tol * sq.sum((-2, -1))[..., None]
+    return sq.sum(-1) <= thr, sq.sum(-2) <= thr
+
+
 def _lines_vanish(vid, g, tol):
     """variant_membership over a stack of matrices (..., 4, 4): a boolean
-    array of shape (...), each matrix scaled by core._unit and decided
-    against tol times its norm, with no absolute floor."""
+    array of shape (...)."""
     i, j = vid
-    g = _unit(g)
-    thr = tol * np.linalg.norm(g, axis=(-2, -1))
-    row = np.linalg.norm(g[..., i, :], axis=-1)
-    col = np.linalg.norm(g[..., :, j], axis=-1)
-    return (row <= thr) & (col <= thr)
+    rows, cols = _vanishing_lines(g, tol)
+    return rows[..., i] & cols[..., j]
 
 
 def variant_membership(vid, g, tol: float = 1e-9) -> bool:
@@ -201,22 +209,13 @@ def variant_membership(vid, g, tol: float = 1e-9) -> bool:
 
 
 def matching_variants(g, tol: float = 1e-9):
-    """All variant ids the matrix belongs to, in row-major order.
-
-    The test of variant_membership for every id at once, on the matrix
-    divided by the power of two of its largest part (core._unit), so
-    with no absolute floor: the threshold and the squared norms of the
-    rows and columns are computed one time each.
-    """
+    """All variant ids the matrix belongs to, in row-major order: the ids
+    variant_membership accepts, from one test of its rows and columns."""
     g = np.asarray(g, dtype=complex)
     if g.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {g.shape}")
-    g = _unit(g)
-    thr = tol * float(np.linalg.norm(g))
-    sq = g.real ** 2 + g.imag ** 2
-    row = (sq.sum(1) <= thr * thr).tolist()
-    col = (sq.sum(0) <= thr * thr).tolist()
-    return tuple((i, j) for i, j in VARIANT_IDS if row[i] and col[j])
+    rows, cols = (m.tolist() for m in _vanishing_lines(g, tol))
+    return tuple((i, j) for i, j in VARIANT_IDS if rows[i] and cols[j])
 
 
 def sample_variant(vid, rng: np.random.Generator, real: bool = False,

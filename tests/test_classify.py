@@ -303,7 +303,7 @@ class TestScreen:
         x = np.array([unit(a) for a in rows])
         plan = _plan(FAMILY_TAGS)
         at, coeff = plan.forms
-        bound = _gram_schmidt(plan, (coeff * x.take(at, axis=1)).sum(1))[2]
+        bound = _gram_schmidt(plan, (coeff * x.take(at, axis=1)).sum(1))[-1]
         norm = np.linalg.norm(x, axis=1)[:, None]
         residual = _memberships(x, FAMILY_TAGS, 1e-9).residual
         assert (np.sqrt(bound) <= (residual + 1e-13) * norm).all()

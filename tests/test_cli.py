@@ -15,7 +15,7 @@ from click.testing import CliRunner
 from kmln.cli import cli
 from kmln.core import ParamSet, assemble
 from kmln.documents import format_document, parse_document
-from kmln.families import FAMILIES
+from kmln.families import FAMILIES, construct, sample_instance
 
 DATA = Path(__file__).parent / "data"
 FIXTURE = DATA / "k3.json"
@@ -39,6 +39,34 @@ family NLK-1 residual=0.000e+00 A=(2+0j)
 family NLM-1 residual=0.000e+00 A=(0.5+0j)
 variants: none
 """
+
+
+# members whose constants come from distinct reads, each built from seeded,
+# non-round constants: (case, tag, base vector parts set to zero)
+CONSTANT_CASES = (
+    ("stacked route", "KN-1", {}),
+    ("fallback route", "N-3", {"n": slice(1, 4)}),
+    ("inverted route", "KM-3", {"m": slice(0, 4)}),
+    ("two constants", "K-7", {}),
+    ("split solve", "NLK-1", {}),
+)
+
+
+def classify_constants(runner):
+    """`kmln classify` of every CONSTANT_CASES member, each under a
+    ``# case: tag`` line."""
+    rng = np.random.default_rng(20)
+    out = []
+    for case, tag, zero in CONSTANT_CASES:
+        inst = sample_instance(tag, rng)
+        base = dict(inst.base)
+        for v, at in zero.items():
+            base[v][at] = 0
+        doc = format_document(params=construct(tag, inst.constants, base))
+        res = runner.invoke(cli, ["classify", "-"], input=doc)
+        assert res.exit_code == 0
+        out.append(f"# {case}: {tag}\n{res.output}")
+    return "".join(out)
 
 
 @pytest.fixture()
@@ -106,6 +134,11 @@ class TestGoldenPipeline:
         res = runner.invoke(cli, ["classify", str(FIXTURE)])
         assert res.exit_code == 0
         assert res.output == K3_CLASSIFY
+
+    def test_classify_constants_golden(self, runner):
+        """Constants read along each kind of route keep every bit."""
+        golden = (DATA / "classify_constants.txt").read_text()
+        assert classify_constants(runner) == golden
 
     def test_rank_fixture(self, runner):
         res = runner.invoke(cli, ["rank", str(FIXTURE)])

@@ -302,6 +302,19 @@ class TestMembership:
                     <= 1e-9 * abs(inst.constants["A"])
         assert closure_check("NLM-1").max_constant_drift <= 1e-12
 
+    def test_split_solve_needs_c_before_its_inverse(self, monkeypatch):
+        # the split solve reads c from its item's first column
+        fam = FAMILIES["NLK-1"]
+        rules = dict(fam.rules)
+        rules["m0"], rules["m"] = (
+            tuple(terms[:1] + terms[2:] + terms[1:2])
+            for terms in (fam.rules["m0"], fam.rules["m"]))
+        assert [c for c, _ in rules["m"]] == ["1", "-1/A", "A"]
+        monkeypatch.setitem(FAMILIES, "NLK-1",
+                            dataclasses.replace(fam, rules=rules))
+        with pytest.raises(ValueError, match="a split solve reads one item"):
+            _memberships(np.ones((1, 16)), ("NLK-1",), 1e-9)
+
 
 class TestClosure:
     @pytest.mark.parametrize("tag", FAMILY_TAGS)

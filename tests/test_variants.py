@@ -194,3 +194,42 @@ class TestMatchingVariants:
     def test_threshold_is_relative_to_the_matrix(self, tol):
         for vid, factor, h in near_threshold_inputs(tol):
             assert (vid in matching_variants(h, tol)) == (factor < 1)
+
+
+def boundary_inputs(tol, count):
+    """Variant members whose row i or column j is scaled to either side of
+    the point where variant_membership stops accepting the variant, found
+    by bisection down to adjacent floats."""
+    rng = np.random.default_rng(26)
+    for n in range(count):
+        vid = VARIANT_IDS[n % 16]
+        i, j = vid
+        line = (np.s_[i, :], np.s_[:, j])[n // 16 % 2]
+        g = assemble(sample_variant(vid, rng))
+        e = rng.uniform(-1, 1, 4) + 1j * rng.uniform(-1, 1, 4)
+        e /= np.linalg.norm(e)
+
+        def at(s):
+            h = g.copy()
+            h[line] = s * e
+            return h
+
+        thr = tol * float(np.linalg.norm(g))
+        lo, hi = 0.5 * thr, 2 * thr
+        while np.nextafter(lo, hi) < hi:
+            mid = 0.5 * (lo + hi)
+            if mid in (lo, hi):
+                break
+            if variant_membership(vid, at(mid), tol):
+                lo = mid
+            else:
+                hi = mid
+        yield at(lo)
+        yield at(hi)
+
+
+class TestVariantBoundary:
+    @pytest.mark.parametrize("tol", [1e-12, 1e-9, 1e-6])
+    def test_matching_agrees_with_membership_at_the_boundary(self, tol):
+        for g in boundary_inputs(tol, 64):
+            assert matching_variants(g, tol) == per_variant(g, tol)
