@@ -13,13 +13,16 @@ Every family is tested in one pass of the compiled membership kernel
 residual membership() gives it, at any power-of-two scale of the
 matrix.  The pass first bounds every family's residual from below; a
 matrix that the bound rules out of every family, as it does a generic
-one or a near miss, costs only that bound.
+one or a near miss, costs only that bound, and one it rules out of
+NLK-1 and NLM-1 skips their split solve.
 
 The matrix is first divided by the power of two of its largest real or
 imaginary part, up or down, which changes only exponents: no norm or
 product overflows, and every decision (rank, reality, families,
 variants) is relative to the norm with no absolute floor, so none
-depends on the scale of the input.  ``scale`` is still the Frobenius
+depends on the scale of the input.  The rank and the variants are read
+from that scaled matrix, by the code numeric_rank and matching_variants
+run after their own scaling.  ``scale`` is still the Frobenius
 norm of the matrix given, ``math.inf`` where that norm exceeds the float
 range.
 """
@@ -31,9 +34,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from kmln.core import disassemble, numeric_rank
+from kmln.core import _check_tol, _unit_rank, disassemble
 from kmln.families import FAMILY_TAGS, Membership, _memberships
-from kmln.variants import matching_variants
+from kmln.variants import _unit_variants
 
 __all__ = ["ClassReport", "classify"]
 
@@ -59,8 +62,7 @@ def classify(g, tol: float = 1e-9) -> ClassReport:
     tol is the relative tolerance shared by the rank decision, the reality
     test and the family/variant membership tests.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(tol)
     g = np.ascontiguousarray(g, dtype=complex)
     if g.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {g.shape}")
@@ -69,7 +71,8 @@ def classify(g, tol: float = 1e-9) -> ClassReport:
     if not math.isfinite(top):
         raise ValueError("matrix contains non-finite entries")
 
-    # frexp gives exponent 0 for the zero matrix: it stays zero
+    # frexp gives exponent 0 for the zero matrix: it stays zero.  g is
+    # what core._unit makes of the matrix, and _unit of g is g
     shift = math.frexp(top)[1]
     parts = np.ldexp(parts, -shift)
     g = parts.view(complex)
@@ -87,9 +90,9 @@ def classify(g, tol: float = 1e-9) -> ClassReport:
                       got.residual[0, found].tolist())
 
     return ClassReport(
-        rank=numeric_rank(g, tol),
+        rank=_unit_rank(g, tol),
         real=bool(np.abs(parts[:, 1::2]).max() <= tol * norm),
         scale=scale,
         families=tuple(memberships),
-        variants=matching_variants(g, tol),
+        variants=_unit_variants(g, tol),
     )

@@ -47,6 +47,7 @@ consume, value for value.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -299,30 +300,42 @@ def det_block(cv) -> complex:
     return complex(cv[0] ** 2 - cv[1:] @ cv[1:])
 
 
-def _unit(g):
-    """A stack of complex matrices (..., r, c), each divided by the power of
-    two of its largest real or imaginary part, up or down: only exponents
-    change, so no norm or SVD overflows, and a decision relative to the
-    norm needs no absolute floor.  frexp gives exponent 0 for a zero or
-    non-finite top: no scaling."""
+def _check_tol(tol, zero: bool = False):
+    """Raise ValueError unless tol is finite and positive, or finite and
+    non-negative with ``zero``.  NaN fails both tests."""
+    if not (math.isfinite(tol) and (tol >= 0 if zero else tol > 0)):
+        raise ValueError("tol must be finite and "
+                         + ("non-negative" if zero else "positive"))
+
+
+def _unit(g, axes=(-2, -1)):
+    """A stack of complex matrices (..., r, c), or of component arrays
+    (..., 16) with ``axes=-1``, each item divided by the power of two of
+    its largest real or imaginary part, up or down: only exponents change,
+    so no norm or SVD overflows, and a decision relative to the norm needs
+    no absolute floor.  frexp gives exponent 0 for a zero or non-finite
+    top: no scaling."""
     parts = np.ascontiguousarray(g, dtype=complex).view(float)
-    top = np.abs(parts).max((-2, -1), keepdims=True, initial=0.0)
+    top = np.abs(parts).max(axes, keepdims=True, initial=0.0)
     return np.ldexp(parts, -np.frexp(top)[1]).view(complex)
 
 
 def numeric_rank(g, tol: float = 1e-9):
     """Number of singular values above tol times the largest one.
 
-    The zero matrix has rank 0.  `tol` must be positive and is relative,
-    so the result is scale invariant.  The matrix is first divided by the
-    power of two of its largest real or imaginary part, which changes only
-    exponents, so the SVD cannot overflow near the floating-point limit.
-    A stack of matrices (..., r, c) gives an integer array of shape (...)
-    from one stacked SVD.
+    The zero matrix has rank 0.  `tol` must be finite and positive and is
+    relative, so the result is scale invariant.  The matrix is first
+    divided by the power of two of its largest real or imaginary part,
+    which changes only exponents, so the SVD cannot overflow near the
+    floating-point limit.  A stack of matrices (..., r, c) gives an
+    integer array of shape (...) from one stacked SVD.
     """
-    if not tol > 0:
-        raise ValueError("tol must be positive")
-    g = _unit(g)
+    _check_tol(tol)
+    return _unit_rank(_unit(g), tol)
+
+
+def _unit_rank(g, tol):
+    """numeric_rank of a stack already divided by its power of two (_unit)."""
     s = np.linalg.svd(g, compute_uv=False)
     # s is non-negative, so an all-zero s counts nothing above tol * 0
     above = s > tol * s[..., :1]
@@ -343,16 +356,11 @@ def is_real_conditions(p, tol: float = 1e-9):
     answer does not depend on scale: each set is first divided by the power
     of two of its largest real or imaginary part, which changes only
     exponents, so the norm neither overflows nor underflows.  The zero set
-    is real.  A (..., 16) component array gives a boolean array of shape
-    (...).
+    is real.  `tol` must be finite and non-negative.  A (..., 16) component
+    array gives a boolean array of shape (...).
     """
-    if tol < 0:
-        raise ValueError("tol must be non-negative")
-    parts = np.ascontiguousarray(
-        _as_components(p, "is_real_conditions: p")).view(float)
-    top = np.abs(parts).max(-1, keepdims=True, initial=0.0)
-    # frexp gives exponent 0 for a zero top: the zero set stays zero
-    a = np.ldexp(parts, -np.frexp(top)[1]).view(complex)
+    _check_tol(tol, zero=True)
+    a = _unit(_as_components(p, "is_real_conditions: p"), -1)
     thr = tol * np.linalg.norm(a, axis=-1)
     # per vector: the real part of component 2, the imaginary part of the rest
     off = np.abs(a.reshape(a.shape[:-1] + (4, 4)).view(float))[..., _OFF_REAL]

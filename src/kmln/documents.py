@@ -21,6 +21,7 @@ Every parse error names the JSON path it arose at, e.g.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,15 +48,21 @@ class Document:
     meta: dict
 
 
-def _pair(value, where) -> complex:
-    if (not isinstance(value, (list, tuple)) or len(value) != 2
-            or any(isinstance(x, bool) or not isinstance(x, (int, float))
-                   for x in value)):
-        raise DocumentError(f"{where}: expected a [re, im] pair")
-    z = complex(float(value[0]), float(value[1]))
-    if not (np.isfinite(z.real) and np.isfinite(z.imag)):
-        raise DocumentError(f"{where}: non-finite value")
-    return z
+def _pair(value, where, *at) -> complex:
+    """The complex number of a [re, im] pair; the JSON path of an error is
+    ``where.format(*at)``, built only when one is raised."""
+    if isinstance(value, (list, tuple)) and len(value) == 2:
+        re, im = value
+        if (isinstance(re, (int, float)) and isinstance(im, (int, float))
+                and not isinstance(re, bool) and not isinstance(im, bool)):
+            try:
+                re, im = float(re), float(im)
+            except OverflowError:  # an integer beyond the float range
+                re = math.inf
+            if math.isfinite(re) and math.isfinite(im):
+                return complex(re, im)
+            raise DocumentError(f"{where.format(*at)}: non-finite value")
+    raise DocumentError(f"{where.format(*at)}: expected a [re, im] pair")
 
 
 def _c2pair(z) -> list:
@@ -77,7 +84,7 @@ def _parse_params(obj) -> ParamSet:
         if not isinstance(raw, (list, tuple)) or len(raw) != 4:
             raise DocumentError(f"params.{key}: expected 4 [re, im] pairs")
         vecs[key] = np.array(
-            [_pair(raw[idx], f"params.{key}[{idx}]") for idx in range(4)],
+            [_pair(raw[idx], "params.{}[{}]", key, idx) for idx in range(4)],
             dtype=complex,
         )
     return ParamSet(**vecs)
@@ -86,13 +93,13 @@ def _parse_params(obj) -> ParamSet:
 def _parse_matrix(obj) -> np.ndarray:
     if not isinstance(obj, (list, tuple)) or len(obj) != 4:
         raise DocumentError("matrix: expected 4 rows")
-    g = np.zeros((4, 4), dtype=complex)
+    values = []
     for i, row in enumerate(obj):
         if not isinstance(row, (list, tuple)) or len(row) != 4:
             raise DocumentError(f"matrix[{i}]: expected 4 [re, im] pairs")
-        for j, entry in enumerate(row):
-            g[i, j] = _pair(entry, f"matrix[{i}][{j}]")
-    return g
+        values += [_pair(entry, "matrix[{}][{}]", i, j)
+                   for j, entry in enumerate(row)]
+    return np.array(values, dtype=complex).reshape(4, 4)
 
 
 def _check_meta(meta, params: ParamSet, g: np.ndarray):
@@ -130,7 +137,7 @@ def _check_meta(meta, params: ParamSet, g: np.ndarray):
             raise DocumentError(
                 f"meta.constants.{cname}: {key} has no such constant"
             )
-        given = _pair(constants[cname], f"meta.constants.{cname}")
+        given = _pair(constants[cname], "meta.constants.{}", cname)
         got = mb.constants.get(cname)
         if got is not None and abs(got - given) > _CONST_TOL * max(abs(given), 1.0):
             raise DocumentError(
@@ -143,7 +150,8 @@ def parse_document(text: str) -> Document:
     """Parse and validate a document, cross-checking everything it claims."""
     try:
         obj = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an integer literal
+        # beyond Python's digit limit for int conversion
         raise DocumentError(f"document: invalid JSON: {exc}") from None
     if not isinstance(obj, dict):
         raise DocumentError("document: expected a JSON object")
@@ -176,7 +184,7 @@ def parse_document(text: str) -> Document:
     if meta is not None:
         _check_meta(meta, params, matrix)
 
-    matrix = matrix.copy()
+    # parsed or assembled here, so no caller holds it: freeze it in place
     matrix.flags.writeable = False
     return Document(params=params, matrix=matrix, meta=meta)
 

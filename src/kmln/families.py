@@ -75,6 +75,7 @@ from kmln.core import (
     ParamSet,
     _cvec4_from_draws,
     _shape,
+    _unit,
     assemble,
     compose,
     numeric_rank,
@@ -638,7 +639,8 @@ class _Plan(NamedTuple):
     item_of: np.ndarray       # each lane's item
     bounds: np.ndarray        # each family's first lane
     split_column: np.ndarray  # per split solve: its table column
-    split_item: np.ndarray    # and its item
+    split_item: np.ndarray    # its item
+    split_family: np.ndarray  # and its family
     factors: np.ndarray       # (width, multipliers): table columns
     divides: np.ndarray       # (width, multipliers)
     y: np.ndarray             # (lanes,): the form y of each rule lane
@@ -728,10 +730,10 @@ def _compile(catalog, tags) -> _Plan:
                         column[f, c], power < 0,
                         [k for t, _ in pieces for k in slot_lanes[t]]))
                 else:
-                    splits.append((column[f, c], c,
+                    splits.append((column[f, c], c, f,
                                    {(f, t) for t, *_ in pieces}))
     split_item = []
-    for _, c, targets in splits:
+    for _, c, _, targets in splits:
         at = {item[t] for t in targets}
         if len(at) > 1 or keys[min(at)][2:] != (((c, 1),), ((c, -1),)):
             raise ValueError(f"{c}: a split solve reads one item, c first")
@@ -767,6 +769,7 @@ def _compile(catalog, tags) -> _Plan:
         bounds=np.array(bounds, dtype=int),
         split_column=np.array([col for col, *_ in splits], dtype=int),
         split_item=np.array(split_item, dtype=int),
+        split_family=np.array([f for _, _, f, _ in splits], dtype=int),
         factors=factors[0].copy(), divides=factors[1] < 0,
         y=np.array([y for y, _ in lanes], dtype=int),
         cols=cols[0].copy(), mults=cols[1].copy(),
@@ -913,12 +916,15 @@ def _memberships(a, tags, tol, members_only=False) -> _Memberships:
     their sums, and its lane products give every route its dots.  With
     ``members_only``, a stack that the bound rules out of every family
     (above 2*tol plus _SLACK) is read no further: no flag is set, every
-    constant is None and each residual is the bound.
+    constant is None and each residual is the bound.  By the same rule, a
+    stack that it rules out of every family with a split solve skips the
+    split solves: those constants stay None, and those families' residuals
+    are read without them, so they stay above the bound.  Either way the
+    flags, and the constants and residuals of members, are the ones of
+    the full pass.
     """
     plan = _plan(tuple(tags))
-    a = np.ascontiguousarray(a, dtype=complex).reshape(-1, 16).view(float)
-    top = np.abs(a).max(-1, initial=0.0)
-    x = np.ldexp(a, -np.frexp(top)[1][:, None]).view(complex)
+    x = _unit(np.reshape(a, (-1, 16)), -1)
     n = len(x)
     at, coeff = plan.forms
     # a sum over fewer than 8 slices adds them in order, from +0, whatever
@@ -927,7 +933,8 @@ def _memberships(a, tags, tol, members_only=False) -> _Memberships:
     dots, first, second, bound = _gram_schmidt(plan, forms)
     # the parts of x are below 1, so its norm is below sqrt(32) and its
     # residual above sqrt(bound / 32)
-    if members_only and (bound > 32 * (2 * tol + _SLACK) ** 2).all():
+    out = bound > 32 * (2 * tol + _SLACK) ** 2
+    if members_only and out.all():
         return _Memberships(np.zeros(bound.shape, dtype=bool),
                             np.sqrt(bound / 32), plan.table.repeat(n, 0),
                             plan.names)
@@ -946,7 +953,8 @@ def _memberships(a, tags, tol, members_only=False) -> _Memberships:
     val = np.where(plan.inverted, _inverse(val), val)
 
     table = plan.table.repeat(n, 0)
-    if len(plan.split_column):
+    if len(plan.split_column) and not (
+            members_only and out[:, plan.split_family].all()):
         table[:, plan.split_column] = _split_reads(plan, first, second, thr)
     # the first route of a column whose w does not vanish decides
     for tried in reversed(plan.tries):

@@ -42,6 +42,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from kmln.core import (
+    _check_tol,
     _cvec4_from_draws,
     assemble,
     compose,
@@ -330,8 +331,7 @@ def run_suite(config: SuiteConfig = None) -> FindingsReport:
     cfg = config or SuiteConfig()
     if cfg.samples <= 0 or cfg.rank_instances <= 0:
         raise ValueError("samples and rank_instances must be positive")
-    if cfg.tol <= 0:
-        raise ValueError("tol must be positive")
+    _check_tol(cfg.tol)
     fams, vids = _selection(cfg)
 
     findings = [

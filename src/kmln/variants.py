@@ -185,7 +185,11 @@ def _vanishing_lines(g, tol):
     power of two of its largest part (core._unit), and a line vanishes
     where its squared norm is at most tol**2 times the matrix's, with no
     absolute floor."""
-    g = _unit(g)
+    return _unit_lines(_unit(g), tol)
+
+
+def _unit_lines(g, tol):
+    """_vanishing_lines of a stack already divided by its power of two."""
     sq = g.real ** 2 + g.imag ** 2
     thr = tol * tol * sq.sum((-2, -1))[..., None]
     return sq.sum(-1) <= thr, sq.sum(-2) <= thr
@@ -214,7 +218,13 @@ def matching_variants(g, tol: float = 1e-9):
     g = np.asarray(g, dtype=complex)
     if g.shape != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got shape {g.shape}")
-    rows, cols = (m.tolist() for m in _vanishing_lines(g, tol))
+    return _unit_variants(_unit(g), tol)
+
+
+def _unit_variants(g, tol):
+    """matching_variants of one matrix already divided by its power of
+    two (core._unit)."""
+    rows, cols = (m.tolist() for m in _unit_lines(g, tol))
     return tuple((i, j) for i, j in VARIANT_IDS if rows[i] and cols[j])
 
 

@@ -11,11 +11,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kmln import families
 from kmln.classify import classify
 from kmln.core import (
     ParamSet,
     assemble,
     disassemble,
+    numeric_rank,
     random_params,
     random_real_params,
 )
@@ -31,7 +33,7 @@ from kmln.families import (
     membership,
     sample_instance,
 )
-from kmln.variants import VARIANT_IDS, sample_variant
+from kmln.variants import VARIANT_IDS, matching_variants, sample_variant
 from test_stacking import assert_same_as_loop, unit
 
 TOLS = (1e-12, 1e-9, 1e-6, 1e-3)
@@ -136,16 +138,7 @@ class TestBehaviour:
     def test_scale_free_property(self, kind, seed, real, power):
         # every decision is relative to the norm, with no absolute floor,
         # from 1e-300 to 1e300
-        rng = np.random.default_rng(seed)
-        if kind == "generic":
-            g = assemble((random_real_params if real else random_params)(rng))
-        elif kind == "zero":
-            g = np.zeros((4, 4))
-        elif kind in FAMILY_TAGS:
-            g = assemble(instance_params(sample_instance(kind, rng,
-                                                         real=real)))
-        else:
-            g = assemble(sample_variant(kind, rng, real))
+        g = draw(kind, np.random.default_rng(seed), real)
         want, got = classify(g), classify(10.0 ** power * g)
         assert (got.rank, got.real, got.family_tags, got.variants) == \
             (want.rank, want.real, want.family_tags, want.variants)
@@ -159,8 +152,10 @@ class TestBehaviour:
             classify(np.eye(3))
         with pytest.raises(ValueError):
             classify(np.full((4, 4), np.nan))
-        with pytest.raises(ValueError):
-            classify(np.eye(4), tol=0)
+        for tol in (0, -1, math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match="tol must be finite and positive"):
+                classify(np.eye(4), tol=tol)
 
     def test_tol_widens_membership(self):
         p = construct("K-4", {"A": 1.5}, {"k": [1, 1, 1, 1]})
@@ -182,6 +177,24 @@ class TestBehaviour:
 def perturbed(g, rel, rng):
     e = rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))
     return g + rel * np.linalg.norm(g) / np.linalg.norm(e) * e
+
+
+def draw(kind, rng, real):
+    """A matrix of one kind: "generic", "zero", "near" (a complex member
+    of a random family, perturbed by 1e-10 to 1e-6 relative), a family tag
+    or a variant id."""
+    if kind == "generic":
+        return assemble((random_real_params if real else random_params)(rng))
+    if kind == "zero":
+        return np.zeros((4, 4))
+    if kind == "near":
+        tag = FAMILY_TAGS[rng.integers(len(FAMILY_TAGS))]
+        return perturbed(assemble(instance_params(sample_instance(tag, rng))),
+                         rng.choice([1e-10, 1e-9, 1e-8, 1e-6]), rng)
+    if kind in FAMILY_TAGS:
+        return assemble(instance_params(sample_instance(kind, rng,
+                                                        real=real)))
+    return assemble(sample_variant(kind, rng, real))
 
 
 def screen_inputs():
@@ -352,3 +365,94 @@ class TestScreen:
             warnings.simplefilter("error")
             for g in inputs:
                 assert_classify_matches_membership(g, 1e-9)
+
+
+class TestShortcuts:
+    """classify() reads the rank and the variants from the matrix it has
+    already scaled, and with members_only the kernel skips the split
+    solves where the bound rules out NLK-1 and NLM-1: neither may move a
+    reported bit."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(("generic", "zero", "near") + FAMILY_TAGS
+                                + VARIANT_IDS),
+           seed=st.integers(0, 2**32 - 1),
+           real=st.booleans(),
+           power=st.sampled_from([-300, -150, -12, 0, 12, 150, 300]))
+    def test_rank_and_variants_match_the_public_calls(self, kind, seed, real,
+                                                      power):
+        g = 10.0 ** power * draw(kind, np.random.default_rng(seed), real)
+        for tol in (1e-12, 1e-9, 1e-6):
+            report = classify(g, tol)
+            assert report.rank == numeric_rank(g, tol)
+            assert report.variants == matching_variants(g, tol)
+
+    @staticmethod
+    def split_gate_rows():
+        """Two stacks of rows, each as classify() hands it to the kernel:
+        members of NLK-1 and NLM-1, of K-6 (also an NLK-1 member) and N-2
+        (which the NLK-1 bound admits), a near miss at 1e-9 and the zero
+        row; then members of K-1, M-1, KM-1 and KML-1, a near miss at
+        1e-6, a variant member and a generic row, which the bound rules out
+        of NLK-1 and NLM-1."""
+        rng = np.random.default_rng(52)
+
+        def members(*tags):
+            return [assemble(instance_params(sample_instance(
+                tag, rng, real=real))) for tag in tags for real in (False, True)]
+
+        admitted = members("NLK-1", "NLM-1", "K-6", "N-2")
+        admitted += [perturbed(admitted[0], 1e-9, rng), np.zeros((4, 4))]
+        gated = members("K-1", "M-1", "KM-1", "KML-1")
+        gated += [perturbed(admitted[0], 1e-6, rng),
+                  assemble(sample_variant((1, 2), rng)),
+                  rng.uniform(-1, 1, (4, 4)) + 1j * rng.uniform(-1, 1, (4, 4))]
+        return tuple(np.array([classify_params(g)._array for g in gs])
+                     for gs in (admitted, gated))
+
+    @staticmethod
+    def assert_same_members(cut, full):
+        assert (cut.member == full.member).all()
+        found = full.member
+        assert cut.residual[found].tobytes() == full.residual[found].tobytes()
+        for row in range(len(found)):
+            tags = found[row].nonzero()[0].tolist()
+            assert repr(cut.constants(row, tags)) == \
+                repr(full.constants(row, tags))
+
+    @pytest.mark.parametrize("tol", TOLS)
+    def test_members_only_keeps_every_member_bit(self, tol):
+        rows = np.concatenate(self.split_gate_rows())
+        full = _memberships(rows, FAMILY_TAGS, tol)
+        assert full.member[:4, FAMILY_TAGS.index("NLK-1")].all()
+        self.assert_same_members(
+            _memberships(rows, FAMILY_TAGS, tol, members_only=True), full)
+        for row in range(len(rows)):
+            self.assert_same_members(_memberships(
+                rows[row:row + 1], FAMILY_TAGS, tol, members_only=True),
+                _memberships(rows[row:row + 1], FAMILY_TAGS, tol))
+
+    def test_split_solves_run_only_where_the_bound_admits_them(
+            self, monkeypatch):
+        admitted, gated = self.split_gate_rows()
+        full = _memberships(gated, FAMILY_TAGS, 1e-9)
+        assert full.member[:8].any(1).all()
+        calls = []
+        original = families._split_reads
+
+        def spy(plan, first, second, thr):
+            calls.append(len(thr))
+            return original(plan, first, second, thr)
+
+        monkeypatch.setattr(families, "_split_reads", spy)
+        cut = _memberships(gated, FAMILY_TAGS, 1e-9, members_only=True)
+        assert calls == []
+        self.assert_same_members(cut, full)
+        # one admitted row makes the whole stack pay for the solves, as
+        # one member does for the whole pass; so does the full pass
+        for row in admitted:
+            stack = np.concatenate([gated, row[None]])
+            _memberships(stack, FAMILY_TAGS, 1e-9, members_only=True)
+            assert calls.pop() == len(stack)
+        _memberships(gated, FAMILY_TAGS, 1e-9)
+        assert calls == [len(gated)]

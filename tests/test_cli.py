@@ -268,6 +268,48 @@ class TestExitCodes:
         assert res.stderr == ""
         assert res.stdout.splitlines()[0] == "rank: 1"
 
+    @pytest.mark.parametrize("command, where", [
+        ("classify", "matrix"), ("rank", "matrix"), ("compose", "matrix"),
+        ("classify", "params"), ("rank", "params"), ("compose", "params"),
+        ("classify", "meta.constants"),
+    ])
+    def test_huge_integer_is_one_error_line(self, runner, tmp_path, command,
+                                            where):
+        # an integer literal beyond the float range is rejected as 1e400 is
+        doc = json.loads(FIXTURE.read_text())
+        if where == "matrix":
+            doc["matrix"] = [[[0, 0]] * 4] * 4
+            doc["matrix"][0] = [[0, 0], [0, 0], "HUGE", [0, 0]]
+            path = "matrix[0][2]"
+        elif where == "params":
+            doc["params"]["n"][1] = "HUGE"
+            path = "params.n[1]"
+        else:
+            doc["meta"]["constants"] = {"D": "HUGE"}
+            path = "meta.constants.D"
+        if where != "matrix":
+            doc.pop("matrix", None)
+        text = json.dumps(doc).replace('"HUGE"', "[1%s, 0]" % ("0" * 400))
+        target = tmp_path / "huge.json"
+        target.write_text(text)
+        args = [str(target)] * (2 if command == "compose" else 1)
+        res = runner.invoke(cli, [command, *args])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == [f"error: {path}: non-finite value"]
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0", "-1"])
+    @pytest.mark.parametrize("command", ["classify", "rank", "verify"])
+    def test_bad_tol_is_one_error_line(self, runner, command, tol):
+        args = [str(FIXTURE)] if command != "verify" else [
+            "--family", "K-1", "--variant", "00", "--samples", "3",
+            "--rank-instances", "2"]
+        res = runner.invoke(cli, [command, *args, "--tol", tol])
+        assert res.exit_code == 2
+        assert res.stdout == ""
+        assert res.stderr.splitlines() == \
+            ["error: tol must be finite and positive"]
+
     def test_lying_meta_rejected(self, runner):
         text = FIXTURE.read_text().replace('"K-3"', '"K-4"')
         res = runner.invoke(cli, ["classify", "-"], input=text)

@@ -1,6 +1,7 @@
 """Block parameterization, parameter-space product, helpers."""
 
 import dataclasses
+import math
 import warnings
 
 import numpy as np
@@ -311,11 +312,10 @@ class TestRank:
             assert numeric_rank(1e-300 * np.eye(4)) == 4
             assert numeric_rank(5e-324 * np.eye(4)) == 4
 
-    def test_tol_validation(self):
-        with pytest.raises(ValueError):
-            numeric_rank(np.eye(4), tol=0)
-        with pytest.raises(ValueError):
-            numeric_rank(np.eye(4), tol=-1)
+    @pytest.mark.parametrize("tol", [0, -1, math.nan, math.inf, -math.inf])
+    def test_tol_validation(self, tol):
+        with pytest.raises(ValueError, match="tol must be finite and positive"):
+            numeric_rank(np.eye(4), tol=tol)
 
 
 class TestReality:
@@ -357,6 +357,12 @@ class TestReality:
         assert not is_real_conditions(ParamSet._own(off * scale), 1e-9)
         stack = np.stack([p._array, off]) * scale
         assert is_real_conditions(stack, 1e-9).tolist() == [True, False]
+
+    @pytest.mark.parametrize("tol", [-1, math.nan, math.inf])
+    def test_tol_validation(self, tol):
+        with pytest.raises(ValueError,
+                           match="tol must be finite and non-negative"):
+            is_real_conditions(identity_params(), tol)
 
     def test_zero_set_is_real(self):
         assert is_real_conditions(zero_params(), 0.0)

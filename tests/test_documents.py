@@ -1,5 +1,6 @@
 """Document parsing, serialization and self-consistency checks."""
 
+import json
 import warnings
 
 import numpy as np
@@ -126,6 +127,94 @@ class TestErrors:
             warnings.simplefilter("error")
             with pytest.raises(AssembleOverflowError):
                 parse_document(text)
+
+
+# a JSON integer literal beyond the float range
+HUGE = "1" + "0" * 400
+ZERO_VEC = "[[0, 0], [0, 0], [0, 0], [0, 0]]"
+# (bad entry as JSON text, the error it gives after "<path>: ")
+BAD_ENTRIES = [
+    ("[true, 0]", "expected a [re, im] pair"),
+    ("[0, false]", "expected a [re, im] pair"),
+    ('"1"', "expected a [re, im] pair"),
+    ('[0, "1"]', "expected a [re, im] pair"),
+    ("[1, 2, 3]", "expected a [re, im] pair"),
+    ("[1e400, 0]", "non-finite value"),
+    ("[0, -1e400]", "non-finite value"),
+    (f"[{HUGE}, 0]", "non-finite value"),
+    (f"[0, -{HUGE}]", "non-finite value"),
+]
+BAD_IDS = ["bool-re", "bool-im", "string", "string-im", "three-elements",
+           "1e400-re", "1e400-im", "huge-int-re", "huge-int-im"]
+
+
+def matrix_text(entry="[0, 0]", short_row=False):
+    """A matrix document with ``entry`` at [1][2]; row 2 has 3 entries
+    with ``short_row``."""
+    rows = [["[0, 0]"] * 4 for _ in range(4)]
+    rows[1][2] = entry
+    if short_row:
+        rows[2] = rows[2][:3]
+    return '{"matrix": [%s]}' % ", ".join(
+        "[%s]" % ", ".join(row) for row in rows)
+
+
+def params_text(entry="[0, 0]", short_vec=False):
+    """A params document with ``entry`` as m[3]; l has 3 pairs with
+    ``short_vec``."""
+    m = "[[0, 0], [0, 0], [0, 0], %s]" % entry
+    l = "[[0, 0], [0, 0], [0, 0]]" if short_vec else ZERO_VEC
+    return ('{"params": {"k": %s, "m": %s, "l": %s, "n": %s}}'
+            % (ZERO_VEC, m, l, ZERO_VEC))
+
+
+class TestParseErrorTexts:
+    """Every entry and row error of _parse_matrix and _parse_params, text
+    for text."""
+
+    @pytest.mark.parametrize("entry, message", BAD_ENTRIES, ids=BAD_IDS)
+    def test_matrix_entry(self, entry, message):
+        with pytest.raises(DocumentError) as err:
+            parse_document(matrix_text(entry))
+        assert str(err.value) == f"matrix[1][2]: {message}"
+
+    @pytest.mark.parametrize("entry, message", BAD_ENTRIES, ids=BAD_IDS)
+    def test_params_entry(self, entry, message):
+        with pytest.raises(DocumentError) as err:
+            parse_document(params_text(entry))
+        assert str(err.value) == f"params.m[3]: {message}"
+
+    def test_short_row(self):
+        with pytest.raises(DocumentError) as err:
+            parse_document(matrix_text(short_row=True))
+        assert str(err.value) == "matrix[2]: expected 4 [re, im] pairs"
+        with pytest.raises(DocumentError) as err:
+            parse_document(params_text(short_vec=True))
+        assert str(err.value) == "params.l: expected 4 [re, im] pairs"
+
+    def test_the_first_error_in_reading_order_is_named(self):
+        # row 1's bad entry comes before row 2's short length
+        with pytest.raises(DocumentError) as err:
+            parse_document(matrix_text("[true, 0]", short_row=True))
+        assert str(err.value) == "matrix[1][2]: expected a [re, im] pair"
+
+    def test_meta_constant(self):
+        text = json.loads(format_document(params=k3_params()))
+        text["meta"] = {"tag": "K-3", "constants": {"D": "HUGE"}}
+        text = json.dumps(text).replace('"HUGE"', f"[{HUGE}, 0]")
+        with pytest.raises(DocumentError) as err:
+            parse_document(text)
+        assert str(err.value) == "meta.constants.D: non-finite value"
+
+    def test_integer_beyond_the_digit_limit(self):
+        with pytest.raises(DocumentError, match="^document: invalid JSON: "):
+            parse_document(matrix_text("[1%s, 0]" % ("0" * 5000)))
+
+    def test_good_documents_still_parse(self):
+        doc = parse_document(matrix_text("[1, -2.5]"))
+        assert doc.matrix[1, 2] == 1 - 2.5j
+        assert not doc.matrix.flags.writeable
+        assert parse_document(params_text("[3, 4]")).params.m[3] == 3 + 4j
 
 
 class TestMetaCrossChecks:

@@ -1,6 +1,7 @@
 """Verification suite: determinism, coverage, fault visibility."""
 
 import dataclasses
+import math
 from pathlib import Path
 
 import pytest
@@ -146,5 +147,9 @@ class TestConfigValidation:
             run_suite(SuiteConfig(samples=0))
         with pytest.raises(ValueError):
             run_suite(SuiteConfig(tol=-1))
+        for tol in (math.nan, math.inf):
+            with pytest.raises(ValueError,
+                               match="tol must be finite and positive"):
+                run_suite(SuiteConfig(tol=tol))
         with pytest.raises(ValueError):
             run_suite(SuiteConfig(rank_instances=0))

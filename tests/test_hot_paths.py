@@ -13,11 +13,11 @@ import textwrap
 import numpy as np
 import pytest
 
-from kmln import core, families
+from kmln import core, families, variants
 
-HOT = (core.compose, core.assemble, core.disassemble,
+HOT = (core.compose, core.assemble, core.disassemble, core._unit,
        families._memberships, families._gram_schmidt,
-       families._split_reads, families._residuals)
+       families._split_reads, families._residuals, variants._unit_lines)
 BANNED = {"dot", "vdot", "vecdot", "matmul", "einsum", "linalg"}
 
 
